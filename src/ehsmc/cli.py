@@ -43,6 +43,7 @@ from .formulas import (
     fragment_of,
     parse_plus,
     parse_re,
+    resolve_agents,
     tight_bound_saturating,
     variables_of,
 )
@@ -96,6 +97,18 @@ def _formula(arg: str, logic: str) -> Formula:
         return parse(text)
     except (FormulaSyntaxError, RegexSyntaxError, UnknownSymbolError) as e:
         raise _UsageError(f"formula: {e}")
+
+
+def _check_names(system, f: Formula) -> None:
+    """Reject agents and variables the system does not declare, before
+    any engine sees the formula."""
+    try:
+        resolve_agents(system, f)
+    except ValueError as e:
+        raise _UsageError(f"formula: {e}")
+    missing = sorted(variables_of(f) - set(system.variables))
+    if missing:
+        raise _UsageError(f"formula: unknown variable {missing[0]!r}")
 
 
 def _interval(system, text: Optional[str]) -> Interval:
@@ -165,6 +178,7 @@ def _abln_mode(args):
 def cmd_check(args) -> int:
     system = _load(args.system)
     f = _formula(args.formula, args.logic)
+    _check_names(system, f)
     interval = _interval(system, args.interval)
     if args.all_initial:
         interval = Interval((system.initial,))
@@ -281,12 +295,7 @@ def cmd_classify(args) -> int:
 def cmd_stats(args) -> int:
     system = _load(args.system)
     f = _formula(args.formula, args.logic)
-    if args.logic == "re":
-        used = sorted(variables_of(f))
-    else:
-        missing = sorted(variables_of(f) - set(system.variables))
-        if missing:
-            raise _UsageError(f"unknown variable {missing[0]!r}")
+    _check_names(system, f)
     try:
         fragment = fragment_of(f)
     except FragmentError:

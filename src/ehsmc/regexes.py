@@ -5,6 +5,17 @@ decides membership directly on the expression tree via derivatives,
 while `compile_regex` builds a complete minimal DFA through the
 Thompson / subset-construction / minimization pipeline. The routes
 share no code so they can cross-validate each other.
+
+Labels range over whole configuration spaces, whose alphabets grow as
+the product of the agents' local states, but mention only a few letter
+sets. So the Thompson automaton puts all symbol operands of a union
+chain on one edge labelled by a symbol set, and the alphabet is split
+into letter classes: letters lying on exactly the same edges. Subset
+construction and minimization work on classes, not letters (the
+minterms of symbolic automata: D'Antoni and Veanes, "Minimization of
+symbolic automata", POPL 2014); only the finished transition table is
+spelled out letter by letter. `denotes` keeps working letter by letter
+on the expression, so it still checks the compiled route independently.
 """
 
 from __future__ import annotations
@@ -469,10 +480,13 @@ def accepts(dfa: Dfa, word: Sequence[Symbol]) -> bool:
 
 
 class _Nfa:
+    """Thompson NFA whose letter edges carry symbol sets, one edge per
+    set rather than one per symbol."""
+
     def __init__(self) -> None:
         self.count = 0
         self.eps: Dict[int, List[int]] = {}
-        self.trans: Dict[Tuple[int, Symbol], List[int]] = {}
+        self.edges: List[Tuple[int, FrozenSet[Symbol], int]] = []
 
     def fresh(self) -> int:
         self.count += 1
@@ -481,8 +495,22 @@ class _Nfa:
     def add_eps(self, src: int, dst: int) -> None:
         self.eps.setdefault(src, []).append(dst)
 
-    def add_sym(self, src: int, symbol: Symbol, dst: int) -> None:
-        self.trans.setdefault((src, symbol), []).append(dst)
+    def add_symbols(self, src: int, symbols: FrozenSet[Symbol], dst: int) -> None:
+        self.edges.append((src, symbols, dst))
+
+
+def _union_operands(expr: Union) -> List[RegexExpr]:
+    """Operands of a maximal union chain, left to right, however nested."""
+    out: List[RegexExpr] = []
+    stack: List[RegexExpr] = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Union):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.append(node)
+    return out
 
 
 def _thompson(expr: RegexExpr, nfa: _Nfa) -> Tuple[int, int]:
@@ -492,7 +520,7 @@ def _thompson(expr: RegexExpr, nfa: _Nfa) -> Tuple[int, int]:
     elif isinstance(expr, Epsilon):
         nfa.add_eps(start, accept)
     elif isinstance(expr, Sym):
-        nfa.add_sym(start, expr.symbol, accept)
+        nfa.add_symbols(start, frozenset((expr.symbol,)), accept)
     elif isinstance(expr, Concat):
         ls, la = _thompson(expr.left, nfa)
         rs, ra = _thompson(expr.right, nfa)
@@ -500,12 +528,17 @@ def _thompson(expr: RegexExpr, nfa: _Nfa) -> Tuple[int, int]:
         nfa.add_eps(la, rs)
         nfa.add_eps(ra, accept)
     elif isinstance(expr, Union):
-        ls, la = _thompson(expr.left, nfa)
-        rs, ra = _thompson(expr.right, nfa)
-        nfa.add_eps(start, ls)
-        nfa.add_eps(start, rs)
-        nfa.add_eps(la, accept)
-        nfa.add_eps(ra, accept)
+        # All symbol operands of the chain share one edge; compound
+        # operands keep their own epsilon branches.
+        operands = _union_operands(expr)
+        symbols = frozenset(op.symbol for op in operands if isinstance(op, Sym))
+        if symbols:
+            nfa.add_symbols(start, symbols, accept)
+        for op in operands:
+            if not isinstance(op, Sym):
+                s, a = _thompson(op, nfa)
+                nfa.add_eps(start, s)
+                nfa.add_eps(a, accept)
     elif isinstance(expr, Star):
         inner_s, inner_a = _thompson(expr.inner, nfa)
         nfa.add_eps(start, inner_s)
@@ -515,6 +548,23 @@ def _thompson(expr: RegexExpr, nfa: _Nfa) -> Tuple[int, int]:
     else:
         raise TypeError(f"not a regex node: {expr!r}")
     return start, accept
+
+
+def _letter_classes(nfa: _Nfa, alphabet: Alphabet) -> Tuple[int, Dict[Symbol, int]]:
+    """Partition the alphabet into classes of letters lying on exactly
+    the same edge labels; letters on no edge form one class. Classes are
+    numbered in the order of their least letter. Returns the number of
+    classes and each letter's class."""
+    on_labels: Dict[Symbol, List[int]] = {}
+    for idx, label in enumerate(dict.fromkeys(label for _, label, _ in nfa.edges)):
+        for symbol in label:
+            on_labels.setdefault(symbol, []).append(idx)
+    by_signature: Dict[Tuple[int, ...], int] = {}
+    class_of: Dict[Symbol, int] = {}
+    for symbol in alphabet.symbols:
+        signature = tuple(on_labels.get(symbol, ()))
+        class_of[symbol] = by_signature.setdefault(signature, len(by_signature))
+    return len(by_signature), class_of
 
 
 def _closure(nfa: _Nfa, states: Iterable[int]) -> FrozenSet[int]:
@@ -532,10 +582,13 @@ def _closure(nfa: _Nfa, states: Iterable[int]) -> FrozenSet[int]:
 def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
     """Compile to the complete minimal DFA for the expression.
 
-    Pipeline: Thompson construction, epsilon-closure subset
-    construction, completion with an explicit dead state, partition
-    refinement to the unique minimal automaton. When `alphabet` is not
-    given it is inferred from the symbols of the expression.
+    Pipeline: Thompson construction with symbol-set edges, a partition
+    of the alphabet into letter classes (letters on exactly the same
+    edges behave alike everywhere downstream), epsilon-closure subset
+    construction and partition refinement over the classes, and finally
+    expansion of the transition table to every letter. The empty subset
+    acts as the dead state, so the result is complete. When `alphabet`
+    is not given it is inferred from the symbols of the expression.
     """
     if alphabet is None:
         syms = symbols_of(expr)
@@ -551,26 +604,31 @@ def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
 
     nfa = _Nfa()
     start, accept = _thompson(expr, nfa)
+    n_classes, class_of = _letter_classes(nfa, alphabet)
+    classes = range(n_classes)
+    trans: Dict[Tuple[int, int], List[int]] = {}
+    for src, label, dst in nfa.edges:
+        for c in {class_of[symbol] for symbol in label}:
+            trans.setdefault((src, c), []).append(dst)
 
-    # Subset construction; the empty subset acts as the dead state, so
-    # the result is complete by construction.
+    # Subset construction over letter classes.
     init = _closure(nfa, [start])
     subsets: Dict[FrozenSet[int], int] = {init: 0}
     order: List[FrozenSet[int]] = [init]
-    delta: Dict[Tuple[int, Symbol], int] = {}
+    delta: Dict[Tuple[int, int], int] = {}
     queue = [init]
     while queue:
         current = queue.pop(0)
-        for symbol in alphabet.symbols:
+        for c in classes:
             moved = set()
             for s in current:
-                moved.update(nfa.trans.get((s, symbol), ()))
+                moved.update(trans.get((s, c), ()))
             nxt = _closure(nfa, moved)
             if nxt not in subsets:
                 subsets[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
-            delta[(subsets[current], symbol)] = subsets[nxt]
+            delta[(subsets[current], c)] = subsets[nxt]
     accepting = {subsets[s] for s in order if accept in s}
 
     # Partition refinement down to the minimal automaton.
@@ -580,9 +638,7 @@ def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
         signatures: Dict[Tuple, int] = {}
         new_block = [0] * n
         for i in range(n):
-            sig = (block[i],) + tuple(
-                block[delta[(i, a)]] for a in alphabet.symbols
-            )
+            sig = (block[i],) + tuple(block[delta[(i, c)]] for c in classes)
             if sig not in signatures:
                 signatures[sig] = len(signatures)
             new_block[i] = signatures[sig]
@@ -590,12 +646,14 @@ def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
             break
         block = new_block
 
-    # Quotient, then breadth-first renaming from the initial block.
-    rep_delta: Dict[Tuple[int, Symbol], int] = {}
+    # Quotient, then breadth-first renaming from the initial block. Classes
+    # are visited in the order of their least letter, so states are found
+    # in the same order as by visiting every letter in alphabet order.
+    rep_delta: Dict[Tuple[int, int], int] = {}
     block_accepting: Set[int] = set()
     for i in range(n):
-        for a in alphabet.symbols:
-            rep_delta[(block[i], a)] = block[delta[(i, a)]]
+        for c in classes:
+            rep_delta[(block[i], c)] = block[delta[(i, c)]]
         if i in accepting:
             block_accepting.add(block[i])
 
@@ -606,16 +664,14 @@ def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
     while qi < len(bfs_order):
         b = bfs_order[qi]
         qi += 1
-        for a in alphabet.symbols:
-            t = rep_delta[(b, a)]
+        for c in classes:
+            t = rep_delta[(b, c)]
             if t not in seen:
                 seen.add(t)
                 bfs_order.append(t)
 
     def dead(b: int) -> bool:
-        return b not in block_accepting and all(
-            rep_delta[(b, a)] == b for a in alphabet.symbols
-        )
+        return b not in block_accepting and all(rep_delta[(b, c)] == b for c in classes)
 
     names: Dict[int, str] = {}
     counter = 1
@@ -629,7 +685,7 @@ def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
 
     states = tuple(names[b] for b in bfs_order)
     step = {
-        (names[b], a): names[rep_delta[(b, a)]]
+        (names[b], a): names[rep_delta[(b, class_of[a])]]
         for b in bfs_order
         for a in alphabet.symbols
     }

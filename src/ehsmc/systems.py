@@ -153,38 +153,49 @@ class InterpretedSystem:
         for alias, cfg in self.aliases.items():
             self._display.setdefault(cfg, alias)
 
-        self._succ: Dict[GlobalConfig, Tuple[GlobalConfig, ...]] = {
-            g: self._compute_successors(g) for g in self.all_configs
-        }
+        self._succ = self._compute_successors()
         self.reachable: Tuple[GlobalConfig, ...] = self._compute_reachable()
         self.reachable_set: FrozenSet[GlobalConfig] = frozenset(self.reachable)
         self._dfas: Dict[str, Dfa] = {}
 
     # -- derived tables -----------------------------------------------------
 
-    def _compute_successors(self, g: GlobalConfig) -> Tuple[GlobalConfig, ...]:
-        permitted = []
-        for agent, local in zip(self.agents, g):
-            acts = agent.protocol.get(local, ())
-            if not acts:
-                return ()
-            permitted.append(sorted(acts))
-        by_src: List[List[Tuple[Tuple[str, ...], str]]] = []
-        for agent, local in zip(self.agents, g):
-            by_src.append(
-                [(pat, dst) for (src, pat, dst) in agent.transitions if src == local]
-            )
-        out: Set[GlobalConfig] = set()
-        for joint in itertools.product(*permitted):
-            targets: List[Set[str]] = []
-            for rules in by_src:
-                t = {dst for (pat, dst) in rules if _pattern_matches(pat, joint)}
-                if not t:
-                    break
-                targets.append(t)
-            else:
-                out.update(itertools.product(*targets))
-        return tuple(sorted(c for c in out if c in set(self.all_configs)))
+    def _compute_successors(self) -> Dict[GlobalConfig, Tuple[GlobalConfig, ...]]:
+        """Successor table over every configuration. An agent's targets
+        depend only on its local state and the joint action, so each such
+        pair is matched against the agent's rules once per system."""
+        valid = set(self.all_configs)
+        memos: List[Dict[Tuple[str, Tuple[str, ...]], FrozenSet[str]]] = [
+            {} for _ in self.agents
+        ]
+
+        def successors(g: GlobalConfig) -> Tuple[GlobalConfig, ...]:
+            permitted = []
+            for agent, local in zip(self.agents, g):
+                acts = agent.protocol.get(local, ())
+                if not acts:
+                    return ()
+                permitted.append(sorted(acts))
+            out: Set[GlobalConfig] = set()
+            for joint in itertools.product(*permitted):
+                moves: List[FrozenSet[str]] = []
+                for agent, memo, local in zip(self.agents, memos, g):
+                    key = (local, joint)
+                    targets = memo.get(key)
+                    if targets is None:
+                        targets = memo[key] = frozenset(
+                            dst
+                            for (src, pat, dst) in agent.transitions
+                            if src == local and _pattern_matches(pat, joint)
+                        )
+                    if not targets:
+                        break
+                    moves.append(targets)
+                else:
+                    out.update(itertools.product(*moves))
+            return tuple(sorted(c for c in out if c in valid))
+
+        return {g: successors(g) for g in self.all_configs}
 
     def _compute_reachable(self) -> Tuple[GlobalConfig, ...]:
         seen = {self.initial}

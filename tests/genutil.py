@@ -1,11 +1,13 @@
-"""Shared formula generators for differential and property suites.
+"""Shared generators for differential and property suites.
 
-Two flavours: `all_formulas` enumerates every formula up to an AST size
-from a fixed kit (used by the exhaustive differential suites), and
-`random_formula` draws one seeded sample (used by round-trip and
-sampling suites).
+Formulas come in two flavours: `all_formulas` enumerates every formula
+up to an AST size from a fixed kit (used by the exhaustive differential
+suites), and `random_formula` draws one seeded sample (used by
+round-trip and sampling suites). `ring_text` writes a counter ring whose
+configuration space, and so label alphabet, grows as 3^n.
 """
 
+import itertools
 import random
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
@@ -119,3 +121,36 @@ def random_formula(
     relation = rng.choice(list(relations))
     shape = Box if sugar and rng.random() < 0.3 else Diamond
     return shape(relation, sub)
+
+
+def _ring_name(counters: Sequence[int]) -> str:
+    return "k" + "".join(str(c) for c in counters)
+
+
+def ring_text(n: int, target: Sequence[int]) -> str:
+    """A scheduler agent and n three-state counters; each step the
+    scheduler picks one counter, which moves c0 -> c1 -> c2 -> c0. All
+    3^n configurations are reachable and get an alias. Label `all` is
+    the whole-space star, `goal` that star followed by `target`; the
+    whole-space union lists the configurations in shuffled order."""
+    every = list(itertools.product(range(3), repeat=n))
+    lines = ["agent Sched", "  states e", "  init e",
+             "  actions " + " ".join(f"t{i}" for i in range(n)),
+             "  protocol e: " + " ".join(f"t{i}" for i in range(n)),
+             "  trans e (" + ",".join(["*"] * (n + 1)) + ") e"]
+    for i in range(n):
+        lines += [f"agent Ctr{i}", "  states c0 c1 c2", "  init c0", "  actions idle"]
+        lines += [f"  protocol c{s}: idle" for s in range(3)]
+        for s in range(3):
+            for j in range(n):
+                pattern = ",".join([f"t{j}"] + ["*"] * n)
+                lines.append(f"  trans c{s} ({pattern}) c{(s + 1) % 3 if j == i else s}")
+    for counters in every:
+        cfg = ",".join(["e"] + [f"c{c}" for c in counters])
+        lines.append(f"config {_ring_name(counters)} = ({cfg})")
+    names = [_ring_name(c) for c in every]
+    random.Random(0).shuffle(names)
+    whole = "(" + " + ".join(names) + ")"
+    lines.append(f"label all = {whole}*")
+    lines.append(f"label goal = {whole}* {_ring_name(target)}")
+    return "\n".join(lines) + "\n"

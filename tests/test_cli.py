@@ -98,6 +98,26 @@ class TestCheckExits:
         code, _, err = run(capsys, "check", "nowhere.isrl", "p")
         assert code == 2 and "nowhere.isrl" in err
 
+    @pytest.mark.parametrize("formula", ["K{5} p", "C{0,7} p", "K{Nobody} p"])
+    def test_unknown_agent_is_exit_2(self, capsys, formula):
+        code, out, err = run(capsys, "check", IS_EX, formula)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "agent" in err
+
+    @pytest.mark.parametrize("formula", ["zz", "<B> zz"])
+    def test_unknown_variable_is_exit_2(self, capsys, formula):
+        # <B> zz at the point interval would vacuously fail without the
+        # check, since a point has no begins-subinterval.
+        code, out, err = run(capsys, "check", IS_EX, formula, "--interval", "g1,g2,g3")
+        assert code == 2 and out == ""
+        assert err == "error: formula: unknown variable 'zz'\n"
+        code, _, err = run(capsys, "check", IS_EX, formula)
+        assert code == 2 and "'zz'" in err
+
+    def test_unknown_predicate_variable_is_exit_2(self, capsys, point_file):
+        code, _, err = run(capsys, "check", point_file, "{r ; T}", "--logic", "re")
+        assert code == 2 and err == "error: formula: unknown variable 'r'\n"
+
     def test_json_output_is_deterministic(self, capsys):
         first = run(capsys, "check", IS_EX, "<A> p", "--json")
         second = run(capsys, "check", IS_EX, "<A> p", "--json")
@@ -147,6 +167,11 @@ class TestStatsAndClassify:
         assert "interval-type bound: 288" in out
         assert "interval-type bound (tight): 73" in out
         assert "fragment: BDE" in out
+
+    @pytest.mark.parametrize("formula", ["K{5} p", "zz"])
+    def test_stats_rejects_unknown_names(self, capsys, formula):
+        code, out, err = run(capsys, "stats", IS_EX, formula)
+        assert code == 2 and out == "" and err.startswith("error: formula: ")
 
     def test_stats_scientific_form_for_huge_bounds(self, capsys):
         code, out, _ = run(capsys, "stats", IS_EX, "<A> p", "--json")

@@ -5,9 +5,12 @@ pipeline is validated against it, never the other way round.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from ehsmc.systems import parse_system
 
 from ehsmc.regexes import (
     EMPTY,
@@ -31,6 +34,8 @@ from ehsmc.regexes import (
     symbols_of,
     union_of,
 )
+
+from genutil import ring_text
 
 ALPHA = Alphabet(("g1", "g2", "g3"))
 FIG4_TEXT = "g1 (g1+g2)* g3"
@@ -204,6 +209,24 @@ class TestCompile:
                 block = fresh
             assert len(set(block.values())) == len(d.states)
 
+    def test_breadth_first_state_names(self):
+        # States are named in breadth-first order over the letters in
+        # alphabet order; e lies on no edge and d only on one.
+        alpha = Alphabet(tuple("abcde"))
+        d = compile_regex(parse_regex("c a + b (a + d)", alpha), alpha)
+        assert d.states == ("z1", "zbot", "z2", "z3", "z4")
+        assert (d.initial, d.accepting, d.sink) == ("z1", frozenset({"z4"}), "zbot")
+        rows = {
+            "z1": "zbot z2 z3 zbot zbot",
+            "zbot": "zbot zbot zbot zbot zbot",
+            "z2": "z4 zbot zbot z4 zbot",
+            "z3": "z4 zbot zbot zbot zbot",
+            "z4": "zbot zbot zbot zbot zbot",
+        }
+        assert d.step == {
+            (q, a): t for q, row in rows.items() for a, t in zip("abcde", row.split())
+        }
+
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compile_regex(Sym("g9"), ALPHA)
@@ -301,6 +324,69 @@ def test_denotes_agrees_with_dfa(expr, data):
     d = compile_regex(expr, alpha)
     word = data.draw(st.lists(st.sampled_from(alpha.symbols), max_size=8))
     assert denotes(expr, word) == accepts(d, word)
+
+
+def union_chain_strategy(symbols):
+    """Expressions whose unions are chains of two to five operands,
+    mixing bare symbols with compound operands."""
+    leaves = st.sampled_from([EMPTY, EPSILON] + [Sym(s) for s in symbols])
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: Concat(*p)),
+            st.lists(sub, min_size=2, max_size=5).map(union_of),
+            sub.map(Star),
+        ),
+        max_leaves=10,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    expr=st.one_of(regex_strategy(("a", "b", "c")), union_chain_strategy(("a", "b", "c"))),
+    extra=st.integers(min_value=0, max_value=2),
+)
+def test_letter_classes_agree_with_denotes(expr, extra):
+    # Letters d and e never occur in the expression; they must share
+    # the transitions of every other letter that lies on no edge.
+    alpha = Alphabet(("a", "b", "c", "d", "e")[: 3 + extra])
+    d = compile_regex(expr, alpha)
+    assert set(d.step) == {(q, a) for q in d.states for a in alpha.symbols}
+    for word in all_words(alpha.symbols, 3):
+        assert accepts(d, word) == denotes(expr, word)
+
+
+class TestLargeAlphabets:
+    def test_ring_labels_golden(self):
+        # 4 counters: 81 configurations, so 81 letters.
+        sys_ = parse_system(ring_text(4, (2, 0, 1, 1)))
+        assert len(sys_.alphabet) == 81
+        whole = sys_.dfa_for("all")
+        assert whole.states == ("z1",)
+        assert whole.accepting == frozenset({"z1"})
+        assert whole.sink is None
+        assert set(whole.step.values()) == {"z1"}
+
+        goal = sys_.dfa_for("goal")
+        target = "(e,c2,c0,c1,c1)"
+        assert goal.states == ("z1", "z2")
+        assert goal.initial == "z1" and goal.accepting == frozenset({"z2"})
+        assert goal.sink is None
+        for q in goal.states:
+            for a in sys_.alphabet:
+                assert goal.step[(q, a)] == ("z2" if a == target else "z1")
+
+    def test_729_letter_labels_compile_within_budget(self):
+        # 6 counters: 729 letters. Compiling letter by letter took
+        # minutes here; over letter classes both labels take milliseconds.
+        sys_ = parse_system(ring_text(6, (1, 1, 1, 1, 1, 1)))
+        assert len(sys_.alphabet) == 729
+        started = time.perf_counter()
+        sizes = [len(compile_regex(sys_.labelling[v], sys_.alphabet).states)
+                 for v in ("all", "goal")]
+        elapsed = time.perf_counter() - started
+        assert sizes == [1, 2]
+        assert elapsed < 2.0, f"729-letter labels compiled in {elapsed:.2f} s"
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 Allen relations, epistemic classes, text format."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from ehsmc.systems import (
     InterpretedSystem,
     Relation,
     SystemParseError,
+    _pattern_matches,
     allen_successors,
     common_class,
     config_str,
@@ -31,6 +33,7 @@ from ehsmc.systems import (
 )
 
 from conftest import iv
+from genutil import ring_text
 
 
 def names(sys_, intervals):
@@ -311,3 +314,76 @@ def test_tg_dot(is_ex):
     assert dot.count("->") == 4
     assert dot.count("circle") >= 3
     assert dot == tg_to_dot(is_ex)
+
+
+# --- successor construction ------------------------------------------------
+
+
+def reference_successors(sys_, g):
+    """Successors by brute force: every joint action the protocols
+    permit, each agent's rules matched against it afresh."""
+    permitted = []
+    for agent, local in zip(sys_.agents, g):
+        acts = agent.protocol.get(local, ())
+        if not acts:
+            return ()
+        permitted.append(sorted(acts))
+    out = set()
+    for joint in itertools.product(*permitted):
+        targets = []
+        for agent, local in zip(sys_.agents, g):
+            t = {dst for (src, pat, dst) in agent.transitions
+                 if src == local and _pattern_matches(pat, joint)}
+            if not t:
+                break
+            targets.append(t)
+        else:
+            out.update(itertools.product(*targets))
+    return tuple(sorted(c for c in out if c in set(sys_.all_configs)))
+
+
+def random_branching_system(rng):
+    """Up to three agents with partial protocols, wildcard patterns,
+    nondeterministic rules, and now and then a rule of the wrong arity
+    or one that leaves the state space (neither may ever fire)."""
+    n = rng.randint(1, 3)
+    actions = [[f"a{i}{k}" for k in range(rng.randint(1, 3))] for i in range(n)]
+    agents = []
+    for i in range(n):
+        states = tuple(f"s{k}" for k in range(rng.randint(1, 3)))
+        protocol = {
+            s: tuple(rng.sample(actions[i], rng.randint(0 if rng.random() < 0.1 else 1,
+                                                        len(actions[i]))))
+            for s in states
+        }
+        rules = []
+        for _ in range(rng.randint(1, 10)):
+            pattern = tuple("*" if rng.random() < 0.4 else rng.choice(actions[j])
+                            for j in range(n))
+            if rng.random() < 0.05:
+                pattern += ("*",)
+            dst = "ghost" if rng.random() < 0.05 else rng.choice(states)
+            rules.append((rng.choice(states), pattern, dst))
+        agents.append(LocalComponent(f"A{i}", states, states[0], tuple(actions[i]),
+                                     protocol, tuple(rules)))
+    return InterpretedSystem(agents, {})
+
+
+class TestSuccessorConstruction:
+    def test_rings_match_reference(self):
+        for n in (2, 3, 4):
+            sys_ = parse_system(ring_text(n, (1,) * n))
+            assert len(sys_.reachable) == 3 ** n
+            for g in sys_.all_configs:
+                assert sys_.successors(g) == reference_successors(sys_, g)
+
+    def test_branching_systems_match_reference(self):
+        rng = random.Random(7)
+        edges = 0
+        for _ in range(300):
+            sys_ = random_branching_system(rng)
+            for g in sys_.all_configs:
+                expected = reference_successors(sys_, g)
+                assert sys_.successors(g) == expected
+                edges += len(expected)
+        assert edges > 1000
