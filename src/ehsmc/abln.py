@@ -21,27 +21,24 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .bde import Holds, evaluate
 from .formulas import (
     And,
     Atom,
     Bot,
-    C,
     Diamond,
     Formula,
-    FragmentError,
-    K,
+    Fragment,
     Not,
     Pi,
     Top,
     Var,
-    eliminate_L,
-    fis_bound_saturating,
+    fis_bound,
     format_formula,
     modal_free,
     normalize,
-    relations_of,
-    resolve_agents,
-    tight_bound_saturating,
+    prepare,
+    tight_bound,
     top_level_subformulas,
     variables_of,
 )
@@ -55,11 +52,8 @@ from .systems import (
     common_class,
     config_str,
     epi_class,
-    label_holds,
     validate_interval,
 )
-
-_FRAGMENT = {Relation.A, Relation.BBAR, Relation.N}
 
 # caps beyond any feasible enumeration are all equivalent; saturate here
 _HUGE = 10**9
@@ -138,9 +132,6 @@ def _boolean_satisfier(
         raise ValueError("operand must be modal-free")
     node = normalize(operand)
     names = sorted(variables_of(node))
-    for name in names:
-        if name not in sys.labelling:
-            raise KeyError(f"unknown variable {name!r}")
     index = {name: i for i, name in enumerate(names)}
 
     def sat(accepting: Tuple[bool, ...], point: bool) -> bool:
@@ -238,22 +229,14 @@ def regular_witness_search(
 # ---------------------------------------------------------------------------
 # Feasibility guard
 
-def _subgraph_from(
-    sys: InterpretedSystem, starts: Iterable[GlobalConfig]
-) -> Set[GlobalConfig]:
+def _cycle_reachable(sys: InterpretedSystem, starts: Iterable[GlobalConfig]) -> bool:
     reach: Set[GlobalConfig] = set()
     stack = list(starts)
     while stack:
         g = stack.pop()
-        if g in reach:
-            continue
-        reach.add(g)
-        stack.extend(sys.successors(g))
-    return reach
-
-
-def _cycle_reachable(sys: InterpretedSystem, starts: Iterable[GlobalConfig]) -> bool:
-    reach = _subgraph_from(sys, starts)
+        if g not in reach:
+            reach.add(g)
+            stack.extend(sys.successors(g))
     indegree = {g: 0 for g in reach}
     for g in reach:
         for s in sys.successors(g):
@@ -308,9 +291,7 @@ def _search_is_complete(
 ) -> bool:
     """True when paths from starts of length <= budget are all paths
     there are (acyclic region exhausted below the budget)."""
-    if budget > len(sys.reachable) and not _cycle_reachable(sys, starts):
-        return True
-    return False
+    return budget > len(sys.reachable) and not _cycle_reachable(sys, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -326,47 +307,34 @@ def check_abln(
     """Bounded verdict for a meets/begun-by/later/next formula (later
     is eliminated on entry; begins/during/ends and every backward
     modality are rejected)."""
-    g0 = eliminate_L(f)
-    extra = relations_of(g0) - _FRAGMENT
-    if extra:
-        names = ", ".join(sorted(r.value for r in extra))
-        raise FragmentError(
-            f"not in the meets/begun-by/later/next fragment: uses {names}"
-        )
+    root = prepare(sys, f, Fragment.ABLN)
     validate_interval(sys, interval)
-    root = normalize(resolve_agents(sys, g0))
-
     insufficient: List[int] = []
+    operands: Dict[int, Tuple[bool, int, bool]] = {}
 
-    def operand_cap(operand: Formula) -> int:
-        if mode.kind == "user":
-            return mode.cap
-        if mode.kind == "literal":
-            return fis_bound_saturating(sys, operand, _HUGE)
-        return tight_bound_saturating(sys, operand, _HUGE)
+    def operand_info(operand: Formula) -> Tuple[bool, int, bool]:
+        """Whether the operand is modal-free, its search cap, and whether
+        that cap reaches its exact bound; worked out once per call."""
+        info = operands.get(id(operand))
+        if info is None:
+            if modal_free(operand):
+                info = (True, 0, True)
+            else:
+                if mode.kind == "user":
+                    cap = mode.cap
+                else:
+                    bound = fis_bound if mode.kind == "literal" else tight_bound
+                    cap = bound(sys, operand, _HUGE)
+                sufficient = mode.kind == "literal" or fis_bound(sys, operand, cap + 1) <= cap
+                info = (False, cap, sufficient)
+            operands[id(operand)] = info
+        return info
 
-    def cap_is_sufficient(operand: Formula, cap: int, complete: bool) -> bool:
-        if complete or mode.kind == "literal":
-            return True
-        return fis_bound_saturating(sys, operand, cap + 1) <= cap
-
-    def guard(starts: Sequence[GlobalConfig], max_len: int, what: str) -> None:
-        if mode.kind == "user":
-            return
-        estimate = _count_paths(sys, starts, max_len, frontier_ceiling)
-        if estimate > frontier_ceiling:
-            raise BoundInfeasibleError(
-                f"{what}: enumeration frontier exceeds the ceiling of "
-                f"{frontier_ceiling} intervals; raise the ceiling, use an "
-                f"explicit user bound, or shrink the formula",
-                estimate,
-                frontier_ceiling,
-            )
-
-    def temporal(node: Diamond, cfgs: Tuple[GlobalConfig, ...]) -> bool:
+    def temporal(node: Diamond, cfgs: Tuple[GlobalConfig, ...], holds: Holds) -> bool:
         operand = node.sub
+        free, cap, sufficient = operand_info(operand)
         last = cfgs[-1]
-        if modal_free(operand):
+        if free:
             if node.relation is Relation.A:
                 return regular_witness_search(sys, operand, starts_at=last) is not None
             if node.relation is Relation.N:
@@ -378,54 +346,31 @@ def check_abln(
                 regular_witness_search(sys, operand, extends=Interval(cfgs))
                 is not None
             )
-        cap = operand_cap(operand)
         max_len = len(cfgs) + cap
         if node.relation is Relation.A:
             starts: Sequence[GlobalConfig] = (last,)
         else:
             starts = sys.successors(last)
-        guard(starts, max_len if node.relation is not Relation.BBAR else cap,
-              f"<{node.relation.value}> {format_formula(operand)}")
-        complete = _search_is_complete(sys, starts, cap)
-        if not cap_is_sufficient(operand, cap, complete):
+        if mode.kind != "user":
+            guarded = max_len if node.relation is not Relation.BBAR else cap
+            estimate = _count_paths(sys, starts, guarded, frontier_ceiling)
+            if estimate > frontier_ceiling:
+                raise BoundInfeasibleError(
+                    f"<{node.relation.value}> {format_formula(operand)}: enumeration "
+                    f"frontier exceeds the ceiling of {frontier_ceiling} intervals; "
+                    f"raise the ceiling, use an explicit user bound, or shrink the "
+                    f"formula",
+                    estimate,
+                    frontier_ceiling,
+                )
+        if not sufficient and not _search_is_complete(sys, starts, cap):
             insufficient.append(cap)
         for candidate in allen_successors(sys, Interval(cfgs), node.relation, max_len):
-            if evaluate(node.sub, candidate.configs):
+            if holds(operand, candidate.configs):
                 return True
         return False
 
-    def evaluate(node: Formula, cfgs: Tuple[GlobalConfig, ...]) -> bool:
-        if isinstance(node, Pi):
-            return len(cfgs) == 1
-        if isinstance(node, Top):
-            return True
-        if isinstance(node, Bot):
-            return False
-        if isinstance(node, Var):
-            return label_holds(sys, node.name, Interval(cfgs))
-        if isinstance(node, Atom):
-            raise FragmentError(
-                "regex atoms must be reduced to variables before checking"
-            )
-        if isinstance(node, Not):
-            return not evaluate(node.sub, cfgs)
-        if isinstance(node, And):
-            return evaluate(node.left, cfgs) and evaluate(node.right, cfgs)
-        if isinstance(node, K):
-            return all(
-                evaluate(node.sub, member.configs)
-                for member in epi_class(sys, Interval(cfgs), node.agent)
-            )
-        if isinstance(node, C):
-            return all(
-                evaluate(node.sub, member.configs)
-                for member in common_class(sys, Interval(cfgs), node.group)
-            )
-        if isinstance(node, Diamond):
-            return temporal(node, cfgs)
-        raise TypeError(f"not a normalized formula node: {node!r}")
-
-    holds = evaluate(root, interval.configs)
+    holds = evaluate(sys, root, interval.configs, temporal)
     return Verdict(holds, max(insufficient) if insufficient else None)
 
 
@@ -457,23 +402,8 @@ def compute_mct(
     (epistemic edges preserve length and are never truncated)."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    g0 = eliminate_L(f)
-    extra = relations_of(g0) - _FRAGMENT
-    if extra:
-        names = ", ".join(sorted(r.value for r in extra))
-        raise FragmentError(
-            f"modal context trees cover the meets/begun-by/later/next "
-            f"fragment only: uses {names}"
-        )
+    root = prepare(sys, f, Fragment.ABLN)
     validate_interval(sys, interval)
-    root = normalize(resolve_agents(sys, g0))
-
-    def label_edges(node: Formula) -> List[Tuple[str, Formula, str]]:
-        # (display key, operand, quantifier head) per top-level subformula
-        out = []
-        for head, operand in top_level_subformulas(node):
-            out.append((f"{head} {format_formula(operand)}", operand, head))
-        return sorted(out, key=lambda t: t[0])
 
     def related(head: str, cfgs: Tuple[GlobalConfig, ...]) -> List[Interval]:
         here = Interval(cfgs)
@@ -492,7 +422,11 @@ def compute_mct(
             (var, run(sys.dfa_for(var), word)) for var in sorted(sys.variables)
         )
         children: List[Tuple[str, FrozenSet[Mct]]] = []
-        for key, operand, head in label_edges(node):
+        # (display key, operand, quantifier head) per top-level subformula
+        edges = sorted(((f"{head} {format_formula(operand)}", operand, head)
+                        for head, operand in top_level_subformulas(node)),
+                       key=lambda edge: edge[0])
+        for key, operand, head in edges:
             subtrees = frozenset(
                 build(operand, member.configs) for member in related(head, cfgs)
             )

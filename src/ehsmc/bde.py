@@ -1,41 +1,39 @@
-"""Decision procedure for the begins/during/ends fragment.
+"""The evaluator both fast engines share, and the decision procedure for
+the begins/during/ends fragment.
 
-Every temporal step shrinks the interval and epistemic steps preserve
-its length, so plain recursion over the formula with explicit
-universal/existential loops decides the fragment exactly: no bounds,
-no histories. Atoms go through the compiled automata (`label_holds`),
-which keeps this engine on a different code path from the oracle's
+`evaluate` decides every connective, knowledge operator and atom the
+same way for both engines; an engine only supplies how a diamond is
+searched. Atoms go through the compiled automata (`label_holds`), which
+keeps the engines on a different code path from the oracle's
 derivative-based evaluation.
+
+On begins/during/ends every temporal step shrinks the interval and
+epistemic steps preserve its length, so trying every related interval
+decides the fragment exactly: no bounds, no histories.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .formulas import (
     And,
-    Atom,
     Bot,
     C,
     Diamond,
     Formula,
     Fragment,
-    FragmentError,
     K,
     Not,
     Pi,
     Top,
     Var,
-    format_formula,
-    fragment_of,
-    normalize,
-    resolve_agents,
+    prepare,
 )
 from .systems import (
     GlobalConfig,
     InterpretedSystem,
     Interval,
-    Relation,
     allen_successors,
     common_class,
     epi_class,
@@ -43,89 +41,63 @@ from .systems import (
     validate_interval,
 )
 
-_BDE = (Relation.B, Relation.D, Relation.E)
+Configs = Tuple[GlobalConfig, ...]
+Holds = Callable[[Formula, Configs], bool]
+# how an engine searches <X>g at an interval, given the evaluator for g
+DiamondSearch = Callable[[Diamond, Configs, Holds], bool]
 
 
-def check_bde(
-    sys: InterpretedSystem,
-    interval: Interval,
-    f: Formula,
-    use_cache: bool = False,
-    trace: Optional[List[str]] = None,
+def evaluate(
+    sys: InterpretedSystem, root: Formula, configs: Configs, diamond: DiamondSearch
 ) -> bool:
-    """Exact verdict for a begins/during/ends-fragment formula.
+    """Truth of a prepared formula (see `formulas.prepare`) on the
+    interval. Atoms, knowledge operators and diamonds are decided once
+    per (subformula, interval) pair in a call."""
+    memo: Dict[Tuple[int, Configs], bool] = {}
 
-    The optional cache is keyed by (configuration sequence, subformula
-    identity); the default is cache-free recursion. `trace`, when a
-    list is passed, receives one line per failed universal branch and
-    per exhausted existential enumeration, innermost first.
-    """
-    if fragment_of(f) is not Fragment.BDE:
-        raise FragmentError(
-            f"not in the begins/during/ends fragment: {format_formula(f)}"
-        )
-    validate_interval(sys, interval)
-    root = normalize(resolve_agents(sys, f))
-    limit = len(interval)
-    cache: Optional[Dict[Tuple[Tuple[GlobalConfig, ...], int], bool]] = (
-        {} if use_cache else None
-    )
-
-    def name_of(cfgs: Tuple[GlobalConfig, ...]) -> str:
-        return " ".join(sys.display(g) for g in cfgs)
-
-    def note(message: str) -> None:
-        if trace is not None:
-            trace.append(message)
-
-    def go(node: Formula, cfgs: Tuple[GlobalConfig, ...]) -> bool:
-        # temporal steps only ever shrink the interval
-        assert len(cfgs) <= limit
-        if cache is None:
-            return evaluate(node, cfgs)
-        key = (cfgs, id(node))
-        if key not in cache:
-            cache[key] = evaluate(node, cfgs)
-        return cache[key]
-
-    def evaluate(node: Formula, cfgs: Tuple[GlobalConfig, ...]) -> bool:
-        if isinstance(node, Pi):
+    def holds(node: Formula, cfgs: Configs) -> bool:
+        kind = type(node)
+        # connectives and constants cost less than a memo lookup
+        if kind is Not:
+            return not holds(node.sub, cfgs)
+        if kind is And:
+            return holds(node.left, cfgs) and holds(node.right, cfgs)
+        if kind is Pi:
             return len(cfgs) == 1
-        if isinstance(node, Top):
-            return True
-        if isinstance(node, Bot):
-            return False
-        if isinstance(node, Var):
-            return label_holds(sys, node.name, Interval(cfgs))
-        if isinstance(node, Atom):
-            raise FragmentError(
-                "regex atoms must be reduced to variables before checking"
-            )
-        if isinstance(node, Not):
-            return not go(node.sub, cfgs)
-        if isinstance(node, And):
-            return go(node.left, cfgs) and go(node.right, cfgs)
-        if isinstance(node, K):
-            for member in epi_class(sys, Interval(cfgs), node.agent):
-                if not go(node.sub, member.configs):
-                    note(f"K{{{node.agent}}} fails at {name_of(member.configs)}")
-                    return False
-            return True
-        if isinstance(node, C):
-            for member in common_class(sys, Interval(cfgs), node.group):
-                if not go(node.sub, member.configs):
-                    group = ",".join(str(a) for a in node.group)
-                    note(f"C{{{group}}} fails at {name_of(member.configs)}")
-                    return False
-            return True
-        if isinstance(node, Diamond):
-            if node.relation not in _BDE:
-                raise FragmentError(f"relation {node.relation.value} not in fragment")
-            for candidate in allen_successors(sys, Interval(cfgs), node.relation):
-                if go(node.sub, candidate.configs):
-                    return True
-            note(f"<{node.relation.value}> exhausted at {name_of(cfgs)}")
-            return False
-        raise TypeError(f"not a normalized formula node: {node!r}")
+        if kind is Top or kind is Bot:
+            return kind is Top
+        key = (id(node), cfgs)
+        value = memo.get(key)
+        if value is None:
+            if kind is Var:
+                value = label_holds(sys, node.name, Interval(cfgs))
+            elif kind is Diamond:
+                value = diamond(node, cfgs, holds)
+            elif kind is K or kind is C:
+                members = (epi_class(sys, Interval(cfgs), node.agent) if kind is K
+                           else common_class(sys, Interval(cfgs), node.group))
+                value = True
+                for member in members:
+                    if not holds(node.sub, member.configs):
+                        value = False
+                        break
+            else:
+                raise TypeError(f"not a prepared formula node: {node!r}")
+            memo[key] = value
+        return value
 
-    return go(root, interval.configs)
+    return holds(root, configs)
+
+
+def check_bde(sys: InterpretedSystem, interval: Interval, f: Formula) -> bool:
+    """Exact verdict for a begins/during/ends-fragment formula."""
+    root = prepare(sys, f, Fragment.BDE)
+    validate_interval(sys, interval)
+
+    def related(node: Diamond, cfgs: Configs, holds: Holds) -> bool:
+        for candidate in allen_successors(sys, Interval(cfgs), node.relation):
+            if holds(node.sub, candidate.configs):
+                return True
+        return False
+
+    return evaluate(sys, root, interval.configs, related)

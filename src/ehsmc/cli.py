@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -38,13 +37,13 @@ from .formulas import (
     FormulaSyntaxError,
     Fragment,
     FragmentError,
-    fis_bound_saturating,
+    fis_bound,
     format_formula,
     fragment_of,
     parse_plus,
     parse_re,
     resolve_agents,
-    tight_bound_saturating,
+    tight_bound,
     variables_of,
 )
 from .oracle import minimal_anchor, oracle_check
@@ -64,6 +63,7 @@ from .systems import (
     parse_system,
     tg_to_dot,
     validate_interval,
+    validate_system,
 )
 
 EXIT_HOLDS = 0
@@ -79,19 +79,31 @@ class _UsageError(Exception):
 
 
 def _load(path: str):
+    """Load and validate a system: a violation is a usage error, and
+    warnings go to stderr."""
     try:
-        return load_system(path)
+        system = load_system(path)
     except FileNotFoundError:
         raise _UsageError(f"no such file: {path}")
     except SystemParseError as e:
         raise _UsageError(f"{path}: {e}")
+    report = validate_system(system)
+    if report.violations:
+        raise _UsageError(f"{path}: {report.violations[0]}")
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=_sys.stderr)
+    return system
 
 
 def _formula(arg: str, logic: str) -> Formula:
+    """Formula text, or the contents of the file named after an `@`."""
     text = arg
-    if os.path.exists(arg) and not arg.lstrip().startswith(("<", "[", "!", "{", "(")):
-        with open(arg) as fh:
-            text = fh.read().strip()
+    if arg.startswith("@"):
+        try:
+            with open(arg[1:]) as fh:
+                text = fh.read().strip()
+        except OSError as e:
+            raise _UsageError(f"formula file {arg[1:]}: {e.strerror}")
     parse = parse_re if logic == "re" else parse_plus
     try:
         return parse(text)
@@ -264,9 +276,11 @@ def cmd_reduce(args) -> int:
 
     sys_text = format_system(new_sys)
     f_text = format_formula(new_f)
-    assert format_system(parse_system(sys_text)) == sys_text
     reparse = parse_re if args.direction == "to-re" else parse_plus
-    assert format_formula(reparse(f_text)) == f_text
+    if format_system(parse_system(sys_text)) != sys_text:
+        raise RuntimeError("translated system does not re-parse to itself")
+    if format_formula(reparse(f_text)) != f_text:
+        raise RuntimeError("translated formula does not re-parse to itself")
 
     if args.out:
         with open(args.out + ".isrl", "w") as fh:
@@ -296,10 +310,7 @@ def cmd_stats(args) -> int:
     system = _load(args.system)
     f = _formula(args.formula, args.logic)
     _check_names(system, f)
-    try:
-        fragment = fragment_of(f)
-    except FragmentError:
-        fragment = Fragment.FULL
+    fragment = fragment_of(f)
     dfa_sizes = {
         var: len(system.dfa_for(var).states) for var in sorted(system.variables)
     }
@@ -307,8 +318,8 @@ def cmd_stats(args) -> int:
         var: language_shape(system.dfa_for(var)) for var in sorted(system.variables)
     }
     try:
-        literal = fis_bound_saturating(system, f, _DISPLAY_CAP)
-        tight = tight_bound_saturating(system, f, _DISPLAY_CAP)
+        literal = fis_bound(system, f, _DISPLAY_CAP)
+        tight = tight_bound(system, f, _DISPLAY_CAP)
         literal_text, tight_text = _bound_display(literal), _bound_display(tight)
     except FragmentError as e:
         literal_text = tight_text = f"undefined ({e})"
@@ -384,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, formula=True):
         p.add_argument("system", help="system description file")
         if formula:
-            p.add_argument("formula", help="formula text or file")
+            p.add_argument("formula", help="formula text, or @FILE to read it from FILE")
         p.add_argument(
             "--logic", choices=["plus", "re"], default="plus",
             help="formula syntax: plain variables or regex atoms",
@@ -430,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     reduce_p = sub.add_parser("reduce", help="translate between surface logics")
     reduce_p.add_argument("system")
-    reduce_p.add_argument("formula")
+    reduce_p.add_argument("formula", help="formula text, or @FILE to read it from FILE")
     reduce_p.add_argument(
         "--direction", choices=["to-re", "to-plus"], required=True,
         help="to-re: move labelling regexes into atoms; to-plus: fold atoms "

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from functools import partial
+from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .regexes import RegexExpr, Sym, parse_regex, regex_to_text, symbols_of
 from .systems import InterpretedSystem, Relation
@@ -113,6 +114,30 @@ TOP = Top()
 BOT = Bot()
 
 
+def children(f: Formula) -> Tuple[Formula, ...]:
+    """The direct subformulas of a node, left to right."""
+    if isinstance(f, (And, Or, Implies)):
+        return (f.left, f.right)
+    if isinstance(f, (Not, K, C, Diamond, Box)):
+        return (f.sub,)
+    return ()
+
+
+def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """The node `f` with its direct subformulas replaced by `kids`."""
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(*kids)
+    if isinstance(f, Not):
+        return Not(*kids)
+    if isinstance(f, K):
+        return K(f.agent, *kids)
+    if isinstance(f, C):
+        return C(f.group, *kids)
+    if isinstance(f, (Diamond, Box)):
+        return type(f)(f.relation, *kids)
+    return f
+
+
 class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -137,6 +162,17 @@ _ABLN_RELATIONS = {Relation.A, Relation.BBAR, Relation.L, Relation.N}
 # Parsing
 
 _KEYWORDS = {"pi": PI, "true": TOP, "false": BOT}
+# binary connectives and their text, loosest first: a connective's
+# precedence level is its position here
+_BINARY = {Implies: "->", Or: "|", And: "&"}
+_LEVELS = tuple(_BINARY)
+
+# Deepest nesting of operators or parentheses the parser accepts. The
+# engines and the oracle recurse at least once per level; the tightest is
+# the oracle on a chain of [A] (seven frames a level), which answers up to
+# depth 123 under the default recursion limit when called from a shallow
+# stack. 100 leaves the caller about 150 frames.
+MAX_FORMULA_DEPTH = 100
 
 
 class _FormulaParser:
@@ -150,6 +186,7 @@ class _FormulaParser:
         self.text = text
         self.pos = 0
         self.regex_atoms = regex_atoms
+        self.parens = 0
 
     def error(self, message: str, pos: Optional[int] = None) -> FormulaSyntaxError:
         return FormulaSyntaxError(message, self.pos if pos is None else pos)
@@ -178,65 +215,77 @@ class _FormulaParser:
         self.pos += 1
 
     def parse(self) -> Formula:
-        f = self.parse_implies()
+        f = self.parse_binary()
         if self.peek():
             raise self.error(f"unexpected {self.peek()!r}")
+        if formula_depth(f) > MAX_FORMULA_DEPTH:
+            raise self.error(f"nested deeper than {MAX_FORMULA_DEPTH} levels", 0)
         return f
 
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek() == "-":
-            if not self.text.startswith("->", self.pos):
-                raise self.error("expected '->'")
-            self.pos += 2
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        parts = [self.parse_and()]
-        while self.peek() == "|":
-            self.pos += 1
-            parts.append(self.parse_and())
-        expr = parts[-1]
-        for part in reversed(parts[:-1]):
-            expr = Or(part, expr)
-        return expr
-
-    def parse_and(self) -> Formula:
-        parts = [self.parse_unary()]
-        while self.peek() == "&":
-            self.pos += 1
-            parts.append(self.parse_unary())
-        expr = parts[-1]
-        for part in reversed(parts[:-1]):
-            expr = And(part, expr)
-        return expr
+    def parse_binary(self, level: int = 0) -> Formula:
+        """A chain of the connective at this precedence level, folded to
+        the right, over operands of the next tighter level."""
+        if level == len(_BINARY):
+            return self.parse_unary()
+        node = _LEVELS[level]
+        op = _BINARY[node]
+        parts = [self.parse_binary(level + 1)]
+        while self.peek() == op[0]:
+            if not self.text.startswith(op, self.pos):
+                raise self.error(f"expected {op!r}")
+            self.pos += len(op)
+            parts.append(self.parse_binary(level + 1))
+        f = parts.pop()
+        while parts:
+            f = node(parts.pop(), f)
+        return f
 
     def parse_unary(self) -> Formula:
-        ch = self.peek()
-        if ch == "!":
-            self.pos += 1
-            return Not(self.parse_unary())
-        if ch == "<" or ch == "[":
-            close = ">" if ch == "<" else "]"
+        """Prefix operators are read in a loop, so a long run of them
+        costs no recursion."""
+        heads: List[Callable[[Formula], Formula]] = []
+        while True:
+            ch = self.peek()
             start = self.pos
-            self.pos += 1
-            name = self.take_ident()
-            self.expect(close)
-            try:
-                relation = Relation(name)
-            except ValueError:
-                raise self.error(f"unknown modality {name!r}", start) from None
-            node = Diamond if ch == "<" else Box
-            return node(relation, self.parse_unary())
-        return self.parse_primary()
+            if ch == "!":
+                self.pos += 1
+                heads.append(Not)
+            elif ch == "<" or ch == "[":
+                self.pos += 1
+                name = self.take_ident()
+                self.expect(">" if ch == "<" else "]")
+                try:
+                    relation = Relation(name)
+                except ValueError:
+                    raise self.error(f"unknown modality {name!r}", start) from None
+                heads.append(partial(Diamond if ch == "<" else Box, relation))
+            # K/C followed by an agent set; any other name is read again as an atom
+            elif ch in ("K", "C") and self.take_ident() == ch and self.peek() == "{":
+                agents = self.parse_agent_set()
+                if ch == "C":
+                    heads.append(partial(C, tuple(agents)))
+                elif len(agents) != 1:
+                    raise self.error("K takes exactly one agent", start)
+                else:
+                    heads.append(partial(K, agents[0]))
+            else:
+                self.pos = start
+                break
+        f = self.parse_primary()
+        for head in reversed(heads):
+            f = head(f)
+        return f
 
     def parse_primary(self) -> Formula:
         ch = self.peek()
         if ch == "(":
+            self.parens += 1
+            if self.parens > MAX_FORMULA_DEPTH:
+                raise self.error(f"nested deeper than {MAX_FORMULA_DEPTH} levels")
             self.pos += 1
-            inner = self.parse_implies()
+            inner = self.parse_binary()
             self.expect(")")
+            self.parens -= 1
             return inner
         if ch == "{":
             if not self.regex_atoms:
@@ -244,23 +293,14 @@ class _FormulaParser:
             return self.parse_atom()
         if not (ch.isalnum() or ch == "_"):
             raise self.error("expected a formula")
-        start = self.pos
         name = self.take_ident()
         if name in _KEYWORDS:
             return _KEYWORDS[name]
-        if name in ("K", "C") and self.peek() == "{":
-            agents = self.parse_agent_set(start)
-            sub = self.parse_unary()
-            if name == "K":
-                if len(agents) != 1:
-                    raise self.error("K takes exactly one agent", start)
-                return K(agents[0], sub)
-            return C(tuple(agents), sub)
         if self.regex_atoms:
             return Atom(Sym(name))
         return Var(name)
 
-    def parse_agent_set(self, start: int) -> List[AgentRef]:
+    def parse_agent_set(self) -> List[AgentRef]:
         self.expect("{")
         agents: List[AgentRef] = []
         while True:
@@ -302,55 +342,41 @@ def parse_re(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_IMPLIES = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UNARY = 3
+_PREC_UNARY = len(_BINARY)
+_LEAF_TEXT = {type(node): text for text, node in _KEYWORDS.items()}
+
+
+def _head(node: Formula) -> str:
+    """The prefix operator of a unary node as printed."""
+    if isinstance(node, Not):
+        return "!"
+    if isinstance(node, K):
+        return f"K{{{node.agent}}}"
+    if isinstance(node, C):
+        return "C{" + ",".join(str(a) for a in node.group) + "}"
+    if isinstance(node, Diamond):
+        return f"<{node.relation.value}>"
+    return f"[{node.relation.value}]"
 
 
 def format_formula(f: Formula) -> str:
     """Surface syntax; parse_plus/parse_re of the result rebuilds `f`."""
 
-    def agent_set(agents: Sequence[AgentRef]) -> str:
-        return "{" + ",".join(str(a) for a in agents) + "}"
-
     def go(node: Formula, level: int) -> str:
-        if isinstance(node, Pi):
-            return "pi"
-        if isinstance(node, Top):
-            return "true"
-        if isinstance(node, Bot):
-            return "false"
         if isinstance(node, Var):
             return node.name
         if isinstance(node, Atom):
             return "{" + regex_to_text(node.expr) + "}"
-        if isinstance(node, Not):
-            return wrap("!" + go(node.sub, _PREC_UNARY), _PREC_UNARY, level)
-        if isinstance(node, And):
-            text = f"{go(node.left, _PREC_AND + 1)} & {go(node.right, _PREC_AND)}"
-            return wrap(text, _PREC_AND, level)
-        if isinstance(node, Or):
-            text = f"{go(node.left, _PREC_OR + 1)} | {go(node.right, _PREC_OR)}"
-            return wrap(text, _PREC_OR, level)
-        if isinstance(node, Implies):
-            text = f"{go(node.left, _PREC_IMPLIES + 1)} -> {go(node.right, _PREC_IMPLIES)}"
-            return wrap(text, _PREC_IMPLIES, level)
-        if isinstance(node, K):
-            return wrap(f"K{agent_set((node.agent,))} {go(node.sub, _PREC_UNARY)}",
-                        _PREC_UNARY, level)
-        if isinstance(node, C):
-            return wrap(f"C{agent_set(node.group)} {go(node.sub, _PREC_UNARY)}",
-                        _PREC_UNARY, level)
-        if isinstance(node, Diamond):
-            return wrap(f"<{node.relation.value}> {go(node.sub, _PREC_UNARY)}",
-                        _PREC_UNARY, level)
-        if isinstance(node, Box):
-            return wrap(f"[{node.relation.value}] {go(node.sub, _PREC_UNARY)}",
-                        _PREC_UNARY, level)
-        raise TypeError(f"not a formula node: {node!r}")
-
-    def wrap(text: str, prec: int, level: int) -> str:
+        kids = children(node)
+        if not kids:
+            return _LEAF_TEXT[type(node)]
+        if len(kids) == 2:
+            prec = _LEVELS.index(type(node))
+            text = f"{go(kids[0], prec + 1)} {_BINARY[type(node)]} {go(kids[1], prec)}"
+        else:
+            prec = _PREC_UNARY
+            space = "" if isinstance(node, Not) else " "
+            text = _head(node) + space + go(kids[0], prec)
         return f"({text})" if prec < level else text
 
     return go(f, 0)
@@ -359,57 +385,73 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Rewrites
 
+def transform(f: Formula, step: Callable[[Formula], Formula]) -> Formula:
+    """Rewrite from the leaves up: `step` gets each node with its
+    subformulas already rewritten. Subtrees that come back unchanged
+    are shared, not copied."""
+
+    def go(node: Formula) -> Formula:
+        kids = children(node)
+        if kids:
+            new = list(map(go, kids))
+            # a node has at most two children
+            if new[0] is not kids[0] or new[-1] is not kids[-1]:
+                node = rebuild(node, new)
+        return step(node)
+
+    return go(f)
+
+
+def _normalize_step(f: Formula) -> Formula:
+    if isinstance(f, Or):
+        return Not(And(Not(f.left), Not(f.right)))
+    if isinstance(f, Implies):
+        return Not(And(f.left, Not(f.right)))
+    if isinstance(f, Box):
+        return Not(Diamond(f.relation, Not(f.sub)))
+    return f
+
+
 def normalize(f: Formula) -> Formula:
     """Remove sugar: Or/Implies into !/&, boxes into !<X>!."""
-    if isinstance(f, Not):
-        return Not(normalize(f.sub))
-    if isinstance(f, And):
-        return And(normalize(f.left), normalize(f.right))
-    if isinstance(f, Or):
-        return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
-    if isinstance(f, Implies):
-        return Not(And(normalize(f.left), Not(normalize(f.right))))
-    if isinstance(f, K):
-        return K(f.agent, normalize(f.sub))
-    if isinstance(f, C):
-        return C(f.group, normalize(f.sub))
-    if isinstance(f, Diamond):
-        return Diamond(f.relation, normalize(f.sub))
-    if isinstance(f, Box):
-        return Not(Diamond(f.relation, Not(normalize(f.sub))))
-    return f
+    return transform(f, _normalize_step)
 
 
-def _map_children(f: Formula, fn) -> Formula:
-    if isinstance(f, Not):
-        return Not(fn(f.sub))
-    if isinstance(f, And):
-        return And(fn(f.left), fn(f.right))
-    if isinstance(f, Or):
-        return Or(fn(f.left), fn(f.right))
-    if isinstance(f, Implies):
-        return Implies(fn(f.left), fn(f.right))
-    if isinstance(f, K):
-        return K(f.agent, fn(f.sub))
-    if isinstance(f, C):
-        return C(f.group, fn(f.sub))
-    if isinstance(f, Diamond):
-        return Diamond(f.relation, fn(f.sub))
-    if isinstance(f, Box):
-        return Box(f.relation, fn(f.sub))
-    return f
+def _modal_rewrite(
+    relations: Set[Relation], build: Callable[[Relation, Formula], Formula]
+) -> Callable[[Formula], Formula]:
+    """Step rewriting <X>g into build(X, g) for X in `relations`, and the
+    box [X]g into the dual !build(X, !g)."""
+
+    def step(f: Formula) -> Formula:
+        if isinstance(f, (Diamond, Box)) and f.relation in relations:
+            if isinstance(f, Diamond):
+                return build(f.relation, f.sub)
+            return Not(build(f.relation, Not(f.sub)))
+        return f
+
+    return step
+
+
+def _via_meets(relation: Relation, g: Formula) -> Formula:
+    meets = Relation.A if relation is Relation.L else Relation.ABAR
+    return Diamond(meets, And(Not(PI), Diamond(meets, g)))
+
+
+def _via_meets_and_begins(relation: Relation, g: Formula) -> Formula:
+    bridge = And(Not(PI), And(Box(Relation.B, Box(Relation.B, BOT)),
+                              Diamond(Relation.A, g)))
+    return Diamond(Relation.A, bridge)
+
+
+_eliminate_L_step = _modal_rewrite({Relation.L, Relation.LBAR}, _via_meets)
+_expand_N_step = _modal_rewrite({Relation.N}, _via_meets_and_begins)
 
 
 def eliminate_L(f: Formula) -> Formula:
     """Rewrite every later-modality in terms of the meets-modality:
     <L>g becomes <A>(!pi & <A>g), and dually for boxes and inverses."""
-    if isinstance(f, Diamond) and f.relation in (Relation.L, Relation.LBAR):
-        meets = Relation.A if f.relation is Relation.L else Relation.ABAR
-        return Diamond(meets, And(Not(PI), Diamond(meets, eliminate_L(f.sub))))
-    if isinstance(f, Box) and f.relation in (Relation.L, Relation.LBAR):
-        meets = Relation.A if f.relation is Relation.L else Relation.ABAR
-        return Not(Diamond(meets, And(Not(PI), Diamond(meets, Not(eliminate_L(f.sub))))))
-    return _map_children(f, eliminate_L)
+    return transform(f, _eliminate_L_step)
 
 
 def expand_N(f: Formula) -> Formula:
@@ -419,134 +461,11 @@ def expand_N(f: Formula) -> Formula:
     strict prefix), so the target starts one step after the right
     endpoint. Used for cross-validation only; the bounded checker keeps
     the native modality."""
-    if isinstance(f, Diamond) and f.relation is Relation.N:
-        bridge = And(Not(PI), And(Box(Relation.B, Box(Relation.B, BOT)),
-                                  Diamond(Relation.A, expand_N(f.sub))))
-        return Diamond(Relation.A, bridge)
-    if isinstance(f, Box) and f.relation is Relation.N:
-        bridge = And(Not(PI), And(Box(Relation.B, Box(Relation.B, BOT)),
-                                  Diamond(Relation.A, Not(expand_N(f.sub)))))
-        return Not(Diamond(Relation.A, bridge))
-    return _map_children(f, expand_N)
+    return transform(f, _expand_N_step)
 
 
-# ---------------------------------------------------------------------------
-# Structure queries
-
-def relations_of(f: Formula) -> Set[Relation]:
-    """Interval relations used anywhere in the formula (boxes count as
-    their underlying diamond)."""
-    out: Set[Relation] = set()
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, (Diamond, Box)):
-            out.add(node.relation)
-            walk(node.sub)
-        elif isinstance(node, Not):
-            walk(node.sub)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (K, C)):
-            walk(node.sub)
-
-    walk(f)
-    return out
-
-
-def fragment_of(f: Formula) -> Fragment:
-    rels = relations_of(f)
-    if rels <= _BDE_RELATIONS:
-        return Fragment.BDE
-    if rels <= _ABLN_RELATIONS:
-        return Fragment.ABLN
-    return Fragment.FULL
-
-
-def modal_free(f: Formula) -> bool:
-    if isinstance(f, (K, C, Diamond, Box)):
-        return False
-    if isinstance(f, Not):
-        return modal_free(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return modal_free(f.left) and modal_free(f.right)
-    return True
-
-
-def modal_depth(f: Formula) -> int:
-    if isinstance(f, (K, C)):
-        return 1 + modal_depth(f.sub)
-    if isinstance(f, (Diamond, Box)):
-        return 1 + modal_depth(f.sub)
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 0
-
-
-def ast_size(f: Formula) -> int:
-    if isinstance(f, Not):
-        return 1 + ast_size(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + ast_size(f.left) + ast_size(f.right)
-    if isinstance(f, (K, C, Diamond, Box)):
-        return 1 + ast_size(f.sub)
-    return 1
-
-
-def variables_of(f: Formula) -> Set[str]:
-    """Variables named by the formula; for regex atoms, the variables
-    appearing in letter predicates (`T` names none)."""
-    out: Set[str] = set()
-
-    def pred_vars(symbol: str) -> Iterator[str]:
-        if symbol == "T":
-            return
-        if symbol.startswith("!"):
-            yield symbol[1:]
-        elif symbol.startswith("(") and symbol.endswith(")"):
-            inner = symbol[1:-1]
-            for part in inner.split(","):
-                if part:
-                    yield part
-        else:
-            yield symbol
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Atom):
-            for symbol in symbols_of(node.expr):
-                out.update(pred_vars(symbol))
-        elif isinstance(node, Not):
-            walk(node.sub)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (K, C, Diamond, Box)):
-            walk(node.sub)
-
-    walk(f)
-    return out
-
-
-def letter_predicate_holds(symbol: str, valuation: FrozenSet[str]) -> bool:
-    """Interpret one letter predicate against the set of variables true
-    at a configuration: `T` any letter, `!p` absence, `(p,q)` the exact
-    valuation, a bare name presence."""
-    if symbol == "T":
-        return True
-    if symbol.startswith("!"):
-        return symbol[1:] not in valuation
-    if symbol.startswith("(") and symbol.endswith(")"):
-        wanted = {part for part in symbol[1:-1].split(",") if part}
-        return valuation == wanted
-    return symbol in valuation
-
-
-def resolve_agents(sys: InterpretedSystem, f: Formula) -> Formula:
-    """Replace agent names in K/C by indices and bounds-check indices."""
+def _resolve_step(sys: InterpretedSystem) -> Callable[[Formula], Formula]:
+    """Step replacing agent names in K/C by indices, bounds-checked."""
     by_name = {agent.name: i for i, agent in enumerate(sys.agents)}
 
     def resolve(ref: AgentRef) -> int:
@@ -558,14 +477,147 @@ def resolve_agents(sys: InterpretedSystem, f: Formula) -> Formula:
             raise ValueError(f"agent index {ref} out of range")
         return ref
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, K):
-            return K(resolve(node.agent), walk(node.sub))
-        if isinstance(node, C):
-            return C(tuple(resolve(a) for a in node.group), walk(node.sub))
-        return _map_children(node, walk)
+    def step(f: Formula) -> Formula:
+        if isinstance(f, K):
+            agent = resolve(f.agent)
+            return f if agent == f.agent else K(agent, f.sub)
+        if isinstance(f, C):
+            group = tuple(resolve(a) for a in f.group)
+            return f if group == f.group else C(group, f.sub)
+        return f
 
-    return walk(f)
+    return step
+
+
+def resolve_agents(sys: InterpretedSystem, f: Formula) -> Formula:
+    """Replace agent names in K/C by indices and bounds-check indices."""
+    return transform(f, _resolve_step(sys))
+
+
+# Relations a fast engine evaluates, before later is eliminated
+_ENGINE_RELATIONS = {
+    Fragment.BDE: ("begins/during/ends", _BDE_RELATIONS),
+    Fragment.ABLN: ("meets/begun-by/later/next", _ABLN_RELATIONS),
+}
+
+
+def prepare(sys: InterpretedSystem, f: Formula, fragment: Fragment) -> Formula:
+    """The formula as the engine for `fragment` evaluates it, built in
+    one walk: later rewritten through meets, agents resolved to indices
+    and sugar removed. Raises FragmentError for a relation outside the
+    fragment and for regex atoms (reduce those to variables first)."""
+    name, allowed = _ENGINE_RELATIONS[fragment]
+    resolve = _resolve_step(sys)
+    extra: Set[Relation] = set()
+
+    def step(node: Formula) -> Formula:
+        if isinstance(node, (Diamond, Box)):
+            if node.relation not in allowed:
+                extra.add(node.relation)
+            node = _eliminate_L_step(node)
+        elif isinstance(node, Atom):
+            raise FragmentError(
+                "regex atoms must be reduced to variables before checking"
+            )
+        return _normalize_step(resolve(node))
+
+    root = transform(f, step)
+    if extra:
+        names = ", ".join(sorted(r.value for r in extra))
+        raise FragmentError(f"not in the {name} fragment: uses {names}")
+    return root
+
+
+# ---------------------------------------------------------------------------
+# Structure queries
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node of the formula in reading order, `f` first."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def relations_of(f: Formula) -> Set[Relation]:
+    """Interval relations used anywhere in the formula (boxes count as
+    their underlying diamond)."""
+    return {n.relation for n in subformulas(f) if isinstance(n, (Diamond, Box))}
+
+
+def fragment_of(f: Formula) -> Fragment:
+    rels = relations_of(f)
+    if rels <= _BDE_RELATIONS:
+        return Fragment.BDE
+    if rels <= _ABLN_RELATIONS:
+        return Fragment.ABLN
+    return Fragment.FULL
+
+
+_MODAL = (K, C, Diamond, Box)
+_OPERATORS = (Not, And, Or, Implies) + _MODAL
+
+
+def formula_depth(f: Formula, kinds: Tuple[type, ...] = _OPERATORS) -> int:
+    """The most nodes of the given kinds (by default, operators) on one
+    path from the root to a leaf."""
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth += isinstance(node, kinds)
+        deepest = max(deepest, depth)
+        stack.extend((k, depth) for k in children(node))
+    return deepest
+
+
+def modal_free(f: Formula) -> bool:
+    return not any(isinstance(n, _MODAL) for n in subformulas(f))
+
+
+def modal_depth(f: Formula) -> int:
+    return formula_depth(f, _MODAL)
+
+
+def ast_size(f: Formula) -> int:
+    return sum(1 for _ in subformulas(f))
+
+
+def variables_of(f: Formula) -> Set[str]:
+    """Variables named by the formula; for regex atoms, the variables
+    appearing in letter predicates (`T` names none)."""
+    out: Set[str] = set()
+    for node in subformulas(f):
+        if isinstance(node, Var):
+            out.add(node.name)
+        elif isinstance(node, Atom):
+            for symbol in symbols_of(node.expr):
+                out.update(predicate_variables(symbol))
+    return out
+
+
+def predicate_variables(symbol: str) -> List[str]:
+    """Variables a letter predicate names: none for `T`, `p` for `!p`,
+    the listed ones for a tuple `(p,q)`, else the symbol itself."""
+    if symbol == "T":
+        return []
+    if symbol.startswith("!"):
+        return [symbol[1:]]
+    if symbol.startswith("(") and symbol.endswith(")"):
+        return [part for part in symbol[1:-1].split(",") if part]
+    return [symbol]
+
+
+def letter_predicate_holds(symbol: str, valuation: FrozenSet[str]) -> bool:
+    """Interpret one letter predicate against the set of variables true
+    at a configuration: `T` any letter, `!p` absence, `(p,q)` the exact
+    valuation, a bare name presence."""
+    if symbol.startswith("!"):
+        return symbol[1:] not in valuation
+    if symbol.startswith("(") and symbol.endswith(")"):
+        return valuation == set(predicate_variables(symbol))
+    return symbol == "T" or symbol in valuation
 
 
 # ---------------------------------------------------------------------------
@@ -577,135 +629,72 @@ def top_level_subformulas(f: Formula) -> List[Tuple[str, Formula]]:
     duplicates collapsed. Sugar is normalized first, so a box surfaces
     as its diamond with a negated operand."""
     out: List[Tuple[str, Formula]] = []
-    seen: Set[Tuple[str, Formula]] = set()
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Not):
-            walk(node.sub)
-        elif isinstance(node, And):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, K):
-            emit(f"K{{{node.agent}}}", node.sub)
-        elif isinstance(node, C):
-            emit("C{" + ",".join(str(a) for a in node.group) + "}", node.sub)
-        elif isinstance(node, Diamond):
-            emit(f"<{node.relation.value}>", node.sub)
-
-    def emit(label: str, operand: Formula) -> None:
-        entry = (label, operand)
-        if entry not in seen:
-            seen.add(entry)
-            out.append(entry)
-
-    walk(normalize(f))
+    stack = [normalize(f)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Not, And)):
+            stack.extend(reversed(children(node)))
+            continue
+        if isinstance(node, (K, C, Diamond)) and (_head(node), node.sub) not in out:
+            out.append((_head(node), node.sub))
     return out
 
 
-def _require_post_elimination_abln(f: Formula) -> Formula:
+def _interval_type_bound(
+    sys: InterpretedSystem, f: Formula, cap: Optional[int], tight: bool
+) -> int:
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
     g = eliminate_L(f)
-    rels = relations_of(g)
-    extra = rels - {Relation.A, Relation.BBAR, Relation.N}
+    extra = relations_of(g) - {Relation.A, Relation.BBAR, Relation.N}
     if extra:
         names = ", ".join(sorted(r.value for r in extra))
         raise FragmentError(
             f"interval-type bound needs the A/Bbar/L/N fragment; saw {names}"
         )
-    return g
-
-
-def _fis_base(sys: InterpretedSystem) -> int:
     base = 2 * len(sys.all_configs) ** 2
     for var in sys.variables:
-        base *= 2 ** len(sys.dfa_for(var).states)
-    return base
+        states = len(sys.dfa_for(var).states)
+        base *= states if tight else 2 ** states
+
+    def go(node: Formula, cap: Optional[int]) -> int:
+        value = base
+        if cap is not None and value >= cap:
+            return cap
+        # 2^e >= cap whenever e reaches cap.bit_length()
+        limit = None if cap is None else cap.bit_length()
+        for _, operand in top_level_subformulas(node):
+            exponent = go(operand, limit)
+            if limit is not None and exponent >= limit:
+                return cap
+            value *= 2 ** exponent
+            if cap is not None and value >= cap:
+                return cap
+        if tight:
+            value += 1
+        return value if cap is None else min(value, cap)
+
+    return go(g, cap)
 
 
-def fis_bound(sys: InterpretedSystem, f: Formula) -> int:
+def fis_bound(sys: InterpretedSystem, f: Formula, cap: Optional[int] = None) -> int:
     """Exact interval-type bound: with base b = 2|G|^2 * prod over
     variables of 2^(minimal DFA size), the bound of f is b times
     2^(bound of operand) for each distinct top-level modal subformula.
-    Grows non-elementarily with modal depth; exact integers throughout,
-    so depth two is already astronomically large on most systems (use
-    fis_bound_saturating for comparisons)."""
-    g = _require_post_elimination_abln(f)
-
-    def go(node: Formula) -> int:
-        value = _fis_base(sys)
-        for _, operand in top_level_subformulas(node):
-            value *= 2 ** go(operand)
-        return value
-
-    return go(g)
+    Grows non-elementarily with modal depth, so depth two is already
+    astronomically large on most systems. With a positive `cap`, returns
+    min(bound, cap) without building infeasible integers: any
+    intermediate reaching the cap short-circuits."""
+    return _interval_type_bound(sys, f, cap, tight=False)
 
 
-def fis_bound_saturating(sys: InterpretedSystem, f: Formula, cap: int) -> int:
-    """min(fis_bound, cap) without building infeasible integers: any
-    intermediate reaching the cap short-circuits. Exact below the cap."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    g = _require_post_elimination_abln(f)
-
-    def go(node: Formula, cap: int) -> int:
-        value = _fis_base(sys)
-        if value >= cap:
-            return cap
-        for _, operand in top_level_subformulas(node):
-            # 2^e >= cap whenever e reaches cap.bit_length()
-            exponent = go(operand, cap.bit_length())
-            if exponent >= cap.bit_length():
-                return cap
-            value *= 2 ** exponent
-            if value >= cap:
-                return cap
-        return value
-
-    return go(g, cap)
-
-
-def tight_bound(sys: InterpretedSystem, f: Formula) -> int:
+def tight_bound(sys: InterpretedSystem, f: Formula, cap: Optional[int] = None) -> int:
     """Alternative bound counting DFA states directly instead of their
     powersets: 2|G|^2 * prod |Q_q| * prod 2^(tight of operand) + 1. The
-    +1 keeps the count strictly above the observed interval types."""
-    g = _require_post_elimination_abln(f)
-
-    def base() -> int:
-        value = 2 * len(sys.all_configs) ** 2
-        for var in sys.variables:
-            value *= len(sys.dfa_for(var).states)
-        return value
-
-    def go(node: Formula) -> int:
-        value = base()
-        for _, operand in top_level_subformulas(node):
-            value *= 2 ** go(operand)
-        return value + 1
-
-    return go(g)
+    +1 keeps the count strictly above the observed interval types.
+    `cap` saturates as for fis_bound."""
+    return _interval_type_bound(sys, f, cap, tight=True)
 
 
-def tight_bound_saturating(sys: InterpretedSystem, f: Formula, cap: int) -> int:
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    g = _require_post_elimination_abln(f)
-
-    def base() -> int:
-        value = 2 * len(sys.all_configs) ** 2
-        for var in sys.variables:
-            value *= len(sys.dfa_for(var).states)
-        return value
-
-    def go(node: Formula, cap: int) -> int:
-        value = base()
-        if value >= cap:
-            return cap
-        for _, operand in top_level_subformulas(node):
-            exponent = go(operand, cap.bit_length())
-            if exponent >= cap.bit_length():
-                return cap
-            value *= 2 ** exponent
-            if value >= cap:
-                return cap
-        return min(value + 1, cap)
-
-    return go(g, cap)
+fis_bound_saturating = fis_bound
+tight_bound_saturating = tight_bound

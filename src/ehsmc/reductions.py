@@ -14,33 +14,26 @@ import hashlib
 from typing import Dict, List, Tuple
 
 from .formulas import (
-    And,
     Atom,
-    Bot,
-    Box,
-    C,
-    Diamond,
     Formula,
-    Implies,
-    K,
-    Not,
-    Or,
-    Pi,
-    Top,
     Var,
     letter_predicate_holds,
+    predicate_variables,
+    subformulas,
+    transform,
 )
 from .regexes import (
-    Concat,
+    EMPTY,
     Empty,
     Epsilon,
     LanguageShape,
     RegexExpr,
     Star,
     Sym,
-    Union,
     language_shape,
+    map_symbols,
     regex_to_text,
+    union_of,
 )
 from .systems import GlobalConfig, InterpretedSystem, config_str
 
@@ -51,45 +44,6 @@ def _expr_size(expr: RegexExpr) -> int:
     if isinstance(expr, Star):
         return 1 + _expr_size(expr.inner)
     return 1 + _expr_size(expr.left) + _expr_size(expr.right)
-
-
-def _formula_size(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1 + _expr_size(f.expr)
-    if isinstance(f, Not):
-        return 1 + _formula_size(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + _formula_size(f.left) + _formula_size(f.right)
-    if isinstance(f, (K, C, Diamond, Box)):
-        return 1 + _formula_size(f.sub)
-    return 1
-
-
-def _var_occurrences(f: Formula) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Var):
-            counts[node.name] = counts.get(node.name, 0) + 1
-        elif isinstance(node, Not):
-            walk(node.sub)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (K, C, Diamond, Box)):
-            walk(node.sub)
-
-    walk(f)
-    return counts
-
-
-def _union_of(symbols: List[str]) -> RegexExpr:
-    if not symbols:
-        return Empty()
-    expr: RegexExpr = Sym(symbols[-1])
-    for s in reversed(symbols[:-1]):
-        expr = Union(Sym(s), expr)
-    return expr
 
 
 def _require_point_based(sys: InterpretedSystem) -> None:
@@ -128,39 +82,17 @@ def lambda_compose(sys: InterpretedSystem, r: RegexExpr) -> RegexExpr:
     _require_point_based(sys)
     valuations = _point_valuations(sys)
 
-    def known(name: str) -> None:
-        if name not in sys.labelling:
-            raise KeyError(f"unknown variable {name!r}")
-
     def matching(symbol: str) -> List[str]:
-        if symbol == "T":
-            return [config_str(g) for g in sys.all_configs]
-        if symbol.startswith("!"):
-            known(symbol[1:])
-        elif symbol.startswith("(") and symbol.endswith(")"):
-            for part in symbol[1:-1].split(","):
-                if part:
-                    known(part)
-        else:
-            known(symbol)
+        for name in predicate_variables(symbol):
+            if name not in sys.labelling:
+                raise KeyError(f"unknown variable {name!r}")
         return [
             config_str(g)
             for g in sys.all_configs
             if letter_predicate_holds(symbol, valuations[g])
         ]
 
-    def rewrite(expr: RegexExpr) -> RegexExpr:
-        if isinstance(expr, (Empty, Epsilon)):
-            return expr
-        if isinstance(expr, Sym):
-            return _union_of(matching(expr.symbol))
-        if isinstance(expr, Star):
-            return Star(rewrite(expr.inner))
-        if isinstance(expr, Concat):
-            return Concat(rewrite(expr.left), rewrite(expr.right))
-        return Union(rewrite(expr.left), rewrite(expr.right))
-
-    return rewrite(r)
+    return map_symbols(r, lambda symbol: union_of([Sym(s) for s in matching(symbol)]))
 
 
 def _fresh_config_name(sys: InterpretedSystem, g: GlobalConfig) -> str:
@@ -186,75 +118,28 @@ def to_point_based(
     }
     new_sys = InterpretedSystem(sys.agents, new_labelling, sys.aliases)
 
-    def rewrite_expr(expr: RegexExpr) -> RegexExpr:
-        if isinstance(expr, (Empty, Epsilon)):
-            return expr
-        if isinstance(expr, Sym):
-            if expr.symbol not in fresh:
-                return Empty()
-            return Sym(fresh[expr.symbol])
-        if isinstance(expr, Star):
-            return Star(rewrite_expr(expr.inner))
-        if isinstance(expr, Concat):
-            return Concat(rewrite_expr(expr.left), rewrite_expr(expr.right))
-        return Union(rewrite_expr(expr.left), rewrite_expr(expr.right))
-
-    def rewrite(node: Formula) -> Formula:
+    def inline(node: Formula) -> Formula:
         if isinstance(node, Var):
             if node.name not in sys.labelling:
                 raise KeyError(f"unknown variable {node.name!r}")
-            return Atom(rewrite_expr(sys.labelling[node.name]))
+            return Atom(map_symbols(
+                sys.labelling[node.name],
+                lambda s: Sym(fresh[s]) if s in fresh else EMPTY,
+            ))
         if isinstance(node, Atom):
             raise ValueError("formula already carries regex atoms")
-        if isinstance(node, (Pi, Top, Bot)):
-            return node
-        if isinstance(node, Not):
-            return Not(rewrite(node.sub))
-        if isinstance(node, And):
-            return And(rewrite(node.left), rewrite(node.right))
-        if isinstance(node, Or):
-            return Or(rewrite(node.left), rewrite(node.right))
-        if isinstance(node, Implies):
-            return Implies(rewrite(node.left), rewrite(node.right))
-        if isinstance(node, K):
-            return K(node.agent, rewrite(node.sub))
-        if isinstance(node, C):
-            return C(node.group, rewrite(node.sub))
-        if isinstance(node, Diamond):
-            return Diamond(node.relation, rewrite(node.sub))
-        return Box(node.relation, rewrite(node.sub))
+        return node
 
-    out = rewrite(f)
+    out = transform(f, inline)
     # Linear growth: each variable occurrence inlines one labelling regex
     # (rewriting symbols is one-to-one, so sizes carry over unchanged).
-    budget = _formula_size(f) + sum(
-        _expr_size(sys.labelling[name]) * count
-        for name, count in _var_occurrences(f).items()
+    inlined = sum(_expr_size(n.expr) for n in subformulas(out) if isinstance(n, Atom))
+    budget = sum(
+        _expr_size(sys.labelling[n.name]) for n in subformulas(f) if isinstance(n, Var)
     )
-    assert _formula_size(out) <= budget
+    if inlined > budget:
+        raise RuntimeError(f"inlined labels grew to {inlined} nodes, over {budget}")
     return new_sys, out
-
-
-def _atoms_in_order(f: Formula) -> List[Atom]:
-    out: List[Atom] = []
-    seen: set = set()
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Atom):
-            key = regex_to_text(node.expr)
-            if key not in seen:
-                seen.add(key)
-                out.append(node)
-        elif isinstance(node, Not):
-            walk(node.sub)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (K, C, Diamond, Box)):
-            walk(node.sub)
-
-    walk(f)
-    return out
 
 
 def atom_variable_name(expr: RegexExpr) -> str:
@@ -270,11 +155,14 @@ def to_regular_labelling(
     over configurations. Requires every existing label to be
     point-based. Verdicts are preserved interval by interval."""
     _require_point_based(sys)
-    atoms = _atoms_in_order(f)
     names: Dict[str, str] = {}
     new_labelling: Dict[str, RegexExpr] = dict(sys.labelling)
-    for atom in atoms:
+    for atom in subformulas(f):
+        if not isinstance(atom, Atom):
+            continue
         key = regex_to_text(atom.expr)
+        if key in names:
+            continue
         name = atom_variable_name(atom.expr)
         if name in new_labelling:
             raise ValueError(f"fresh variable name collision on {name!r}")
@@ -282,25 +170,9 @@ def to_regular_labelling(
         new_labelling[name] = lambda_compose(sys, atom.expr)
     new_sys = InterpretedSystem(sys.agents, new_labelling, sys.aliases)
 
-    def rewrite(node: Formula) -> Formula:
+    def fold(node: Formula) -> Formula:
         if isinstance(node, Atom):
             return Var(names[regex_to_text(node.expr)])
-        if isinstance(node, (Pi, Top, Bot, Var)):
-            return node
-        if isinstance(node, Not):
-            return Not(rewrite(node.sub))
-        if isinstance(node, And):
-            return And(rewrite(node.left), rewrite(node.right))
-        if isinstance(node, Or):
-            return Or(rewrite(node.left), rewrite(node.right))
-        if isinstance(node, Implies):
-            return Implies(rewrite(node.left), rewrite(node.right))
-        if isinstance(node, K):
-            return K(node.agent, rewrite(node.sub))
-        if isinstance(node, C):
-            return C(node.group, rewrite(node.sub))
-        if isinstance(node, Diamond):
-            return Diamond(node.relation, rewrite(node.sub))
-        return Box(node.relation, rewrite(node.sub))
+        return node
 
-    return new_sys, rewrite(f)
+    return new_sys, transform(f, fold)

@@ -123,6 +123,17 @@ def symbols_of(expr: RegexExpr) -> Set[Symbol]:
     return out
 
 
+def map_symbols(expr: RegexExpr, fn: Callable[[Symbol], RegexExpr]) -> RegexExpr:
+    """The expression with every symbol s replaced by the expression fn(s)."""
+    if isinstance(expr, Sym):
+        return fn(expr.symbol)
+    if isinstance(expr, Star):
+        return Star(map_symbols(expr.inner, fn))
+    if isinstance(expr, (Concat, Union)):
+        return type(expr)(map_symbols(expr.left, fn), map_symbols(expr.right, fn))
+    return expr
+
+
 def union_of(parts: Sequence[RegexExpr]) -> RegexExpr:
     """Right-associated union of the given parts; Empty for no parts."""
     if not parts:
@@ -269,10 +280,7 @@ class _RegexParser:
         while self.peek()[0] == "op" and self.peek()[1] in "+|":
             self.consume()
             parts.append(self._concat())
-        expr = parts[-1]
-        for part in reversed(parts[:-1]):
-            expr = Union(part, expr)
-        return expr
+        return union_of(parts)
 
     def _concat(self) -> RegexExpr:
         parts = [self._postfix()]
@@ -499,13 +507,14 @@ class _Nfa:
         self.edges.append((src, symbols, dst))
 
 
-def _union_operands(expr: Union) -> List[RegexExpr]:
-    """Operands of a maximal union chain, left to right, however nested."""
+def _chain_operands(expr: RegexExpr, kind: type) -> List[RegexExpr]:
+    """Operands of a maximal chain of `kind` nodes (Union or Concat),
+    left to right, however nested."""
     out: List[RegexExpr] = []
     stack: List[RegexExpr] = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Union):
+        if isinstance(node, kind):
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -522,15 +531,17 @@ def _thompson(expr: RegexExpr, nfa: _Nfa) -> Tuple[int, int]:
     elif isinstance(expr, Sym):
         nfa.add_symbols(start, frozenset((expr.symbol,)), accept)
     elif isinstance(expr, Concat):
-        ls, la = _thompson(expr.left, nfa)
-        rs, ra = _thompson(expr.right, nfa)
-        nfa.add_eps(start, ls)
-        nfa.add_eps(la, rs)
-        nfa.add_eps(ra, accept)
+        # A chain is linked in a loop, so a long word costs no recursion.
+        last = start
+        for op in _chain_operands(expr, Concat):
+            s, a = _thompson(op, nfa)
+            nfa.add_eps(last, s)
+            last = a
+        nfa.add_eps(last, accept)
     elif isinstance(expr, Union):
         # All symbol operands of the chain share one edge; compound
         # operands keep their own epsilon branches.
-        operands = _union_operands(expr)
+        operands = _chain_operands(expr, Union)
         symbols = frozenset(op.symbol for op in operands if isinstance(op, Sym))
         if symbols:
             nfa.add_symbols(start, symbols, accept)

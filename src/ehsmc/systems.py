@@ -93,10 +93,6 @@ class AnchoredInterval:
         return len(self.history) + len(self.interval)
 
 
-def is_point(interval: Interval) -> bool:
-    return len(interval.configs) == 1
-
-
 @dataclass
 class LocalComponent:
     name: str
@@ -248,10 +244,6 @@ def global_step(sys: InterpretedSystem, g: GlobalConfig, g2: GlobalConfig) -> bo
     return g2 in sys.successors(g)
 
 
-def reachable_configs(sys: InterpretedSystem) -> Set[GlobalConfig]:
-    return set(sys.reachable)
-
-
 def label_holds(sys: InterpretedSystem, var: str, interval: Interval) -> bool:
     """Compiled-DFA route: the canonical configuration word of the
     interval is accepted by the minimal automaton of the variable."""
@@ -331,51 +323,20 @@ def allen_successors(
                     seen.add(c)
                     yield Interval(tuple(c))
     elif relation == Relation.A:
-        assert max_len is not None
         for path in _paths_from(sys, [cfgs[-1]], max_len):
             yield Interval(path)
     elif relation == Relation.N:
-        assert max_len is not None
         for path in _paths_from(sys, sys.successors(cfgs[-1]), max_len):
             yield Interval(path)
     elif relation == Relation.BBAR:
-        assert max_len is not None
         budget = max_len - n
         if budget >= 1:
             for ext in _paths_from(sys, sys.successors(cfgs[-1]), budget):
                 yield Interval(cfgs + ext)
 
 
-def later_successors(
-    sys: InterpretedSystem, interval: Interval, max_len: int
-) -> Iterator[Interval]:
-    """Intervals whose first configuration is reachable from last(I) in
-    at least one global step."""
-    starts: Set[GlobalConfig] = set()
-    frontier = set(sys.successors(interval.last))
-    while frontier:
-        starts |= frontier
-        frontier = {
-            h for g in frontier for h in sys.successors(g)
-        } - starts
-    yield from (Interval(p) for p in _paths_from(sys, starts, max_len))
-
-
 # ---------------------------------------------------------------------------
 # Epistemic structure
-
-
-def epi_equiv(
-    sys: InterpretedSystem, left: Interval, right: Interval, agent: int
-) -> bool:
-    """Same length and pointwise equal local states for the agent."""
-    if not (0 <= agent < len(sys.agents)):
-        raise IndexError(f"agent index {agent} out of range")
-    if len(left) != len(right):
-        return False
-    return all(
-        a[agent] == b[agent] for a, b in zip(left.configs, right.configs)
-    )
 
 
 def epi_class(sys: InterpretedSystem, interval: Interval, agent: int) -> Set[Interval]:

@@ -26,7 +26,7 @@ from ehsmc.formulas import (
     Or,
     Var,
 )
-from ehsmc.systems import Relation
+from ehsmc.systems import Interval, Relation
 
 UnaryHead = Callable[[Formula], Formula]
 
@@ -121,6 +121,14 @@ def random_formula(
     relation = rng.choice(list(relations))
     shape = Box if sugar and rng.random() < 0.3 else Diamond
     return shape(relation, sub)
+
+
+def epi_equiv(left: Interval, right: Interval, agent: int) -> bool:
+    """Reference indistinguishability: same length and pointwise equal
+    local states for the agent."""
+    return len(left) == len(right) and all(
+        a[agent] == b[agent] for a, b in zip(left.configs, right.configs)
+    )
 
 
 def _ring_name(counters: Sequence[int]) -> str:

@@ -285,7 +285,7 @@ def test_criterion_03_bde_differential_exhaustive(is_ex):
     for interval in intervals:
         anchored = minimal_anchor(is_ex, interval)
         for f in formulas:
-            exact = check_bde(is_ex, interval, f, use_cache=True)
+            exact = check_bde(is_ex, interval, f)
             reference = oracle_check(is_ex, anchored, f, anchored.total_length)
             assert exact == reference, (
                 f"{format_formula(f)} at {interval.configs}")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ehsmc.cli import main
+from ehsmc.formulas import MAX_FORMULA_DEPTH
 
 from conftest import POINT_SYS_TEXT, data_path
 
@@ -223,3 +224,110 @@ class TestExportDot:
     def test_unknown_target(self, capsys):
         code, _, _ = run(capsys, "export-dot", IS_EX, "mystery")
         assert code == 2
+
+
+class TestFormulaFiles:
+    def test_argument_naming_a_file_is_formula_text(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p").write_text("<A> p\n")
+        code, out, _ = run(capsys, "check", IS_EX, "p", "--json")
+        assert code == 1 and json.loads(out)["formula"] == "p"
+        code, out, _ = run(capsys, "check", IS_EX, "@p", "--json")
+        assert code == 0 and json.loads(out)["formula"] == "<A> p"
+
+    def test_missing_formula_file_is_exit_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "absent.formula")
+        code, out, err = run(capsys, "check", IS_EX, "@" + missing)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and missing in err
+
+    def test_stats_requires_a_formula(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", IS_EX])
+        assert exc.value.code == 2
+
+
+class TestSystemValidation:
+    ONE_AGENT = """\
+agent Solo
+  states s t
+  init s
+  actions go
+  protocol s: go
+  protocol t: go
+  trans s (go,go) t
+config cs = (s)
+config ct = (t)
+label p = ct
+"""
+
+    def test_violation_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "arity.isrl"
+        path.write_text(self.ONE_AGENT)
+        code, out, err = run(capsys, "check", str(path), "<N> p")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "arity 2, expected 1" in err
+
+    def test_warnings_go_to_stderr(self, capsys, tmp_path):
+        path = tmp_path / "deadlock.isrl"
+        path.write_text(self.ONE_AGENT.replace("(go,go)", "(go)").replace(
+            "  protocol t: go\n", ""))
+        code, out, err = run(capsys, "check", str(path), "<N> p")
+        assert code == 0 and "verdict: holds" in out
+        assert err == "warning: agent Solo: state 't' permits no action " \
+            "(joint steps from it deadlock)\n"
+
+
+def nested(connective: str, depth: int) -> str:
+    """`depth` nested uses of one connective over the variable p."""
+    if connective in ("&", "|", "->"):
+        return f" {connective} ".join(["p"] * (depth + 1))
+    return f"{connective} " * depth + "p"
+
+
+BOOLEAN = ["!", "&", "|", "->", "K{0}", "C{0,1}"]
+SHRINKING = ["<B>", "[B]", "<D>", "[D]", "<E>", "[E]"]
+GROWING = ["<A>", "[A]", "<Bbar>", "[Bbar]", "<N>", "[N]", "<L>", "[L]"]
+ENGINES = {
+    "bde": ["--engine", "bde"],
+    "abln": ["--engine", "abln"],
+    "abln-user": ["--engine", "abln", "--bound", "2"],
+    "oracle": ["--engine", "oracle"],
+}
+
+
+class TestLargeInputs:
+    @pytest.fixture()
+    def long_word(self, tmp_path):
+        # a label that is one word of 1,200 letters
+        path = tmp_path / "long.isrl"
+        with open(IS_EX) as fh:
+            path.write_text(fh.read() + "label q = " + " ".join(["g1"] * 1200) + "\n")
+        return str(path)
+
+    def test_long_concatenation_label(self, capsys, long_word):
+        code, out, _ = run(capsys, "check", long_word, "q")
+        assert code == 1 and "verdict: fails" in out
+        code, out, _ = run(capsys, "classify", long_word)
+        assert code == 0 and "q: General" in out
+
+    @pytest.mark.parametrize("engine,connective", [
+        (engine, c) for c in BOOLEAN for engine in ENGINES
+    ] + [
+        (engine, c) for c in SHRINKING for engine in ("bde", "oracle")
+    ] + [
+        (engine, c) for c in GROWING for engine in ("abln", "abln-user", "oracle")
+    ])
+    def test_every_engine_answers_at_the_nesting_limit(self, capsys, engine, connective):
+        formula = nested(connective, MAX_FORMULA_DEPTH)
+        code, out, err = run(capsys, "check", IS_EX, formula, *ENGINES[engine])
+        assert code in (0, 1, 3) and err == ""
+
+    @pytest.mark.parametrize("formula", [
+        nested(c, MAX_FORMULA_DEPTH + 1) for c in BOOLEAN + SHRINKING + GROWING
+    ] + ["(" * (MAX_FORMULA_DEPTH + 1) + "p" + ")" * (MAX_FORMULA_DEPTH + 1),
+         "!" * 2000 + "p", " & ".join(["p"] * 1500), "<B>" * 600 + "p"])
+    def test_one_level_deeper_is_exit_2(self, capsys, formula):
+        code, out, err = run(capsys, "check", IS_EX, formula)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "nested deeper than" in err

@@ -19,21 +19,21 @@ from ehsmc.systems import (
     common_class,
     config_str,
     epi_class,
-    epi_equiv,
     format_system,
     global_step,
-    is_point,
     label_holds,
-    later_successors,
     parse_system,
-    reachable_configs,
     tg_to_dot,
     validate_interval,
     validate_system,
 )
 
-from conftest import iv
-from genutil import ring_text
+from ehsmc.abln import check_abln, user_bound
+from ehsmc.bde import check_bde
+from ehsmc.formulas import PI, parse_plus
+
+from conftest import data_path, iv
+from genutil import epi_equiv, ring_text
 
 
 def names(sys_, intervals):
@@ -66,7 +66,7 @@ class TestRunningExample:
         assert not global_step(is_ex, gs["g1"], gs["g3"])
 
     def test_reachable(self, is_ex, gs):
-        assert reachable_configs(is_ex) == {gs["g1"], gs["g2"], gs["g3"]}
+        assert set(is_ex.reachable) == {gs["g1"], gs["g2"], gs["g3"]}
 
     def test_label_membership(self, is_ex, gs):
         assert label_holds(is_ex, "p", iv(gs, "g1", "g2", "g3"))
@@ -82,9 +82,9 @@ class TestRunningExample:
 
 
 class TestIntervals:
-    def test_point(self, gs):
-        assert is_point(iv(gs, "g1"))
-        assert not is_point(iv(gs, "g1", "g2"))
+    def test_point(self, is_ex, gs):
+        assert check_bde(is_ex, iv(gs, "g1"), PI)
+        assert not check_bde(is_ex, iv(gs, "g1", "g2"), PI)
 
     def test_non_empty(self):
         with pytest.raises(ValueError):
@@ -176,14 +176,29 @@ class TestAllenSuccessors:
         assert lengths == sorted(lengths)
 
 
-class TestLater:
-    def test_points_from_g1(self, is_ex, gs):
-        got = names(is_ex, later_successors(is_ex, iv(gs, "g1"), 1))
-        assert got == ["g1", "g2", "g3"]
+def later(sys_, start, operand: str) -> bool:
+    """<L> operand at the point interval, searched three steps deep."""
+    verdict = check_abln(sys_, Interval((start,)), parse_plus(f"<L> ({operand})"), user_bound(3))
+    return verdict.holds
 
-    def test_g3_reaches_itself(self, is_ex, gs):
-        got = names(is_ex, later_successors(is_ex, iv(gs, "g3"), 1))
-        assert "g3" in got
+
+class TestLater:
+    """The later relation, which the engines reach through meets: an
+    interval is later when it starts at least one step after the end."""
+
+    @pytest.fixture(scope="class")
+    def marked(self):
+        with open(data_path("is_ex.isrl")) as fh:
+            text = fh.read()
+        return parse_system(text + "label at1 = g1\nlabel at2 = g2\nlabel at3 = g3\n")
+
+    def test_points_from_g1(self, marked):
+        start = marked.aliases["g1"]
+        for name in ("at1", "at2", "at3"):
+            assert later(marked, start, f"pi & {name}")
+
+    def test_g3_reaches_itself(self, marked):
+        assert later(marked, marked.aliases["g3"], "pi & at3")
 
     def test_no_successor_means_empty(self):
         sys_ = parse_system(
@@ -199,17 +214,18 @@ config ct = (t)
 """
         )
         t = sys_.aliases["ct"]
-        assert list(later_successors(sys_, Interval((t,)), 3)) == []
+        verdict = check_abln(sys_, Interval((t,)), parse_plus("<L> true"), user_bound(3))
+        assert not verdict.holds and verdict.conclusive
 
 
 class TestEpistemic:
     def test_blind_agent_relates_same_length(self, is_ex, gs):
-        assert epi_equiv(is_ex, iv(gs, "g1", "g2"), iv(gs, "g2", "g3"), 0)
-        assert not epi_equiv(is_ex, iv(gs, "g1"), iv(gs, "g1", "g2"), 0)
+        assert iv(gs, "g2", "g3") in epi_class(is_ex, iv(gs, "g1", "g2"), 0)
+        assert iv(gs, "g1", "g2") not in epi_class(is_ex, iv(gs, "g1"), 0)
 
     def test_observant_agent_distinguishes(self, is_ex, gs):
-        assert epi_equiv(is_ex, iv(gs, "g1", "g2"), iv(gs, "g1", "g2"), 1)
-        assert not epi_equiv(is_ex, iv(gs, "g1", "g2"), iv(gs, "g2", "g3"), 1)
+        assert iv(gs, "g1", "g2") in epi_class(is_ex, iv(gs, "g1", "g2"), 1)
+        assert iv(gs, "g2", "g3") not in epi_class(is_ex, iv(gs, "g1", "g2"), 1)
 
     def test_classes(self, is_ex, gs):
         assert names(is_ex, epi_class(is_ex, iv(gs, "g1"), 0)) == ["g1", "g2", "g3"]
@@ -228,12 +244,12 @@ class TestEpistemic:
         universe = all_intervals(is_ex, 3)
         for agent in (0, 1):
             for I in universe:
-                assert epi_equiv(is_ex, I, I, agent)
-            for I, J in itertools.combinations(universe, 2):
-                assert epi_equiv(is_ex, I, J, agent) == epi_equiv(is_ex, J, I, agent)
-            for I, J, K in itertools.product(universe, repeat=3):
-                if epi_equiv(is_ex, I, J, agent) and epi_equiv(is_ex, J, K, agent):
-                    assert epi_equiv(is_ex, I, K, agent)
+                members = epi_class(is_ex, I, agent)
+                assert members == {J for J in universe if epi_equiv(I, J, agent)}
+                # classes partition the intervals: each member has the same class
+                assert I in members
+                for J in members:
+                    assert epi_class(is_ex, J, agent) == members
 
     def test_common_class_closed(self, is_ex):
         for I in all_intervals(is_ex, 2):
@@ -244,7 +260,7 @@ class TestEpistemic:
 
     def test_bad_agent_index(self, is_ex, gs):
         with pytest.raises(IndexError):
-            epi_equiv(is_ex, iv(gs, "g1"), iv(gs, "g1"), 7)
+            epi_class(is_ex, iv(gs, "g1"), 7)
 
 
 class TestValidation:
