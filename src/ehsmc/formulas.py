@@ -16,7 +16,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .regexes import RegexExpr, Sym, parse_regex, regex_to_text, symbols_of
+from .regexes import RegexExpr, Sym, fold_right, parse_regex, regex_to_text, symbols_of
 from .systems import InterpretedSystem, Relation
 
 AgentRef = Union[int, str]
@@ -114,18 +114,23 @@ TOP = Top()
 BOT = Bot()
 
 
+_UNARY_NODES = frozenset({Not, K, C, Diamond, Box})
+_BINARY_NODES = frozenset({And, Or, Implies})
+
+
 def children(f: Formula) -> Tuple[Formula, ...]:
     """The direct subformulas of a node, left to right."""
-    if isinstance(f, (And, Or, Implies)):
-        return (f.left, f.right)
-    if isinstance(f, (Not, K, C, Diamond, Box)):
+    kind = type(f)  # node classes are final: a set lookup beats isinstance
+    if kind in _UNARY_NODES:
         return (f.sub,)
+    if kind in _BINARY_NODES:
+        return (f.left, f.right)
     return ()
 
 
 def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
     """The node `f` with its direct subformulas replaced by `kids`."""
-    if isinstance(f, (And, Or, Implies)):
+    if type(f) in _BINARY_NODES:
         return type(f)(*kids)
     if isinstance(f, Not):
         return Not(*kids)
@@ -235,10 +240,7 @@ class _FormulaParser:
                 raise self.error(f"expected {op!r}")
             self.pos += len(op)
             parts.append(self.parse_binary(level + 1))
-        f = parts.pop()
-        while parts:
-            f = node(parts.pop(), f)
-        return f
+        return fold_right(node, parts)
 
     def parse_unary(self) -> Formula:
         """Prefix operators are read in a loop, so a long run of them

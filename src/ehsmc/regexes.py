@@ -134,14 +134,17 @@ def map_symbols(expr: RegexExpr, fn: Callable[[Symbol], RegexExpr]) -> RegexExpr
     return expr
 
 
-def union_of(parts: Sequence[RegexExpr]) -> RegexExpr:
-    """Right-associated union of the given parts; Empty for no parts."""
-    if not parts:
-        return EMPTY
+def fold_right(node: Callable, parts: Sequence):
+    """node(p1, node(p2, ... node(pn-1, pn))) for non-empty parts p1..pn."""
     expr = parts[-1]
     for part in reversed(parts[:-1]):
-        expr = Union(part, expr)
+        expr = node(part, expr)
     return expr
+
+
+def union_of(parts: Sequence[RegexExpr]) -> RegexExpr:
+    """Right-associated union of the given parts; Empty for no parts."""
+    return fold_right(Union, parts) if parts else EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +296,7 @@ class _RegexParser:
                 parts.append(self._postfix())
             else:
                 break
-        expr = parts[-1]
-        for part in reversed(parts[:-1]):
-            expr = Concat(part, expr)
-        return expr
+        return fold_right(Concat, parts)
 
     def _postfix(self) -> RegexExpr:
         expr = self._primary()
