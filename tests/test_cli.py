@@ -323,6 +323,11 @@ class TestLargeInputs:
         code, out, err = run(capsys, "check", IS_EX, formula, *ENGINES[engine])
         assert code in (0, 1, 3) and err == ""
 
+    def test_parentheses_at_the_nesting_limit(self, capsys):
+        formula = "(" * MAX_FORMULA_DEPTH + "p" + ")" * MAX_FORMULA_DEPTH
+        code, out, err = run(capsys, "check", IS_EX, formula)
+        assert code == 1 and "verdict: fails" in out and err == ""
+
     @pytest.mark.parametrize("formula", [
         nested(c, MAX_FORMULA_DEPTH + 1) for c in BOOLEAN + SHRINKING + GROWING
     ] + ["(" * (MAX_FORMULA_DEPTH + 1) + "p" + ")" * (MAX_FORMULA_DEPTH + 1),
