@@ -9,8 +9,10 @@ The usual entry points:
 - abln.check_abln: bounded checking for the A/Bbar/L/N fragment
 - oracle.oracle_check: reference enumeration semantics
 - reductions: translations between the two logics
+- InputError: raised for every invalid input (the CLI's exit status 2)
 """
 
+from .errors import InputError
 from .regexes import (
     Alphabet,
     Dfa,
@@ -76,6 +78,7 @@ __all__ = [
     "FormulaSyntaxError",
     "Fragment",
     "FragmentError",
+    "InputError",
     "InterpretedSystem",
     "Interval",
     "LITERAL_BOUND",

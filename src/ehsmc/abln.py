@@ -22,19 +22,23 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .bde import Holds, evaluate
+from .errors import InputError
 from .formulas import (
     And,
     Atom,
     Bot,
+    C,
     Diamond,
     Formula,
     Fragment,
+    K,
     Not,
     Pi,
     Top,
     Var,
     fis_bound,
     format_formula,
+    head_text,
     modal_free,
     normalize,
     prepare,
@@ -76,9 +80,9 @@ class BoundMode:
             raise ValueError(f"unknown bound mode {self.kind!r}")
         if self.kind == "user":
             if self.cap is None or self.cap < 1:
-                raise ValueError("user bound must be a positive integer")
+                raise InputError("user bound must be a positive integer")
         elif self.cap is not None:
-            raise ValueError(f"{self.kind} mode takes no cap")
+            raise InputError(f"{self.kind} mode takes no cap")
 
 
 LITERAL_BOUND = BoundMode("literal")
@@ -401,20 +405,17 @@ def compute_mct(
     edges truncated to successor intervals of length <= horizon
     (epistemic edges preserve length and are never truncated)."""
     if horizon < 1:
-        raise ValueError("horizon must be positive")
+        raise InputError("horizon must be positive")
     root = prepare(sys, f, Fragment.ABLN)
     validate_interval(sys, interval)
 
-    def related(head: str, cfgs: Tuple[GlobalConfig, ...]) -> List[Interval]:
+    def related(modal: Formula, cfgs: Tuple[GlobalConfig, ...]) -> List[Interval]:
         here = Interval(cfgs)
-        if head.startswith("K{"):
-            agent = int(head[2:-1])
-            return sorted(epi_class(sys, here, agent), key=lambda i: i.configs)
-        if head.startswith("C{"):
-            group = tuple(int(a) for a in head[2:-1].split(","))
-            return sorted(common_class(sys, here, group), key=lambda i: i.configs)
-        relation = Relation(head[1:-1])
-        return list(allen_successors(sys, here, relation, max_len=horizon))
+        if isinstance(modal, K):
+            return sorted(epi_class(sys, here, modal.agent), key=lambda i: i.configs)
+        if isinstance(modal, C):
+            return sorted(common_class(sys, here, modal.group), key=lambda i: i.configs)
+        return list(allen_successors(sys, here, modal.relation, max_len=horizon))
 
     def build(node: Formula, cfgs: Tuple[GlobalConfig, ...]) -> Mct:
         word = [config_str(g) for g in cfgs]
@@ -422,13 +423,13 @@ def compute_mct(
             (var, run(sys.dfa_for(var), word)) for var in sorted(sys.variables)
         )
         children: List[Tuple[str, FrozenSet[Mct]]] = []
-        # (display key, operand, quantifier head) per top-level subformula
-        edges = sorted(((f"{head} {format_formula(operand)}", operand, head)
-                        for head, operand in top_level_subformulas(node)),
+        # (display key, modal node) per top-level subformula
+        edges = sorted(((f"{head_text(modal)} {format_formula(modal.sub)}", modal)
+                        for modal in top_level_subformulas(node)),
                        key=lambda edge: edge[0])
-        for key, operand, head in edges:
+        for key, modal in edges:
             subtrees = frozenset(
-                build(operand, member.configs) for member in related(head, cfgs)
+                build(modal.sub, member.configs) for member in related(modal, cfgs)
             )
             children.append((key, subtrees))
         return Mct(

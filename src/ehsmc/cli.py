@@ -8,8 +8,10 @@ fragments and interval-type bounds), `export-dot` (transition graph,
 labelling automata, modal context trees).
 
 Exit statuses: 0 the formula holds conclusively, 1 it fails
-conclusively, 2 usage or parse errors, 3 bounded or infeasible results
-(a BoundedAt verdict is reported but not trusted as final).
+conclusively, 2 invalid input (any `InputError`, or a file that cannot
+be read or written; `main` is the one place that maps them), 3 bounded
+or infeasible results (a BoundedAt verdict is reported but not trusted
+as final).
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .abln import (
     user_bound,
 )
 from .bde import check_bde
+from .errors import InputError
 from .formulas import (
     Box,
     Formula,
-    FormulaSyntaxError,
     Fragment,
     FragmentError,
     fis_bound,
@@ -44,23 +46,17 @@ from .formulas import (
     parse_re,
     resolve_agents,
     tight_bound,
-    variables_of,
 )
 from .oracle import minimal_anchor, oracle_check
 from .reductions import to_point_based, to_regular_labelling
-from .regexes import (
-    RegexSyntaxError,
-    UnknownSymbolError,
-    dfa_to_dot,
-    language_shape,
-)
+from .regexes import dfa_to_dot, language_shape
 from .systems import (
     Interval,
     Relation,
-    SystemParseError,
     format_system,
     load_system,
     parse_system,
+    read_input,
     tg_to_dot,
     validate_interval,
     validate_system,
@@ -74,53 +70,29 @@ EXIT_BOUNDED = 3
 _DISPLAY_CAP = 10**300
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load(path: str):
-    """Load and validate a system: a violation is a usage error, and
+    """Load and validate a system: a violation is an input error, and
     warnings go to stderr."""
-    try:
-        system = load_system(path)
-    except FileNotFoundError:
-        raise _UsageError(f"no such file: {path}")
-    except SystemParseError as e:
-        raise _UsageError(f"{path}: {e}")
+    system = load_system(path)
     report = validate_system(system)
     if report.violations:
-        raise _UsageError(f"{path}: {report.violations[0]}")
+        raise InputError(f"{path}: {report.violations[0]}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=_sys.stderr)
     return system
 
 
-def _formula(arg: str, logic: str) -> Formula:
-    """Formula text, or the contents of the file named after an `@`."""
-    text = arg
-    if arg.startswith("@"):
-        try:
-            with open(arg[1:]) as fh:
-                text = fh.read().strip()
-        except OSError as e:
-            raise _UsageError(f"formula file {arg[1:]}: {e.strerror}")
-    parse = parse_re if logic == "re" else parse_plus
+def _formula(system, arg: str, logic: str) -> Formula:
+    """Formula text, or the contents of the file named after an `@`,
+    parsed and checked against the system's agents and variables before
+    any engine sees it."""
     try:
-        return parse(text)
-    except (FormulaSyntaxError, RegexSyntaxError, UnknownSymbolError) as e:
-        raise _UsageError(f"formula: {e}")
-
-
-def _check_names(system, f: Formula) -> None:
-    """Reject agents and variables the system does not declare, before
-    any engine sees the formula."""
-    try:
+        text = read_input(arg[1:]).strip() if arg.startswith("@") else arg
+        f = (parse_re if logic == "re" else parse_plus)(text)
         resolve_agents(system, f)
-    except ValueError as e:
-        raise _UsageError(f"formula: {e}")
-    missing = sorted(variables_of(f) - set(system.variables))
-    if missing:
-        raise _UsageError(f"formula: unknown variable {missing[0]!r}")
+    except InputError as e:
+        raise InputError(f"formula: {e}") from None
+    return f
 
 
 def _interval(system, text: Optional[str]) -> Interval:
@@ -128,18 +100,9 @@ def _interval(system, text: Optional[str]) -> Interval:
         return Interval((system.initial,))
     names = [n for chunk in text.split(",") for n in chunk.split() if n]
     if not names:
-        raise _UsageError("--interval needs at least one configuration")
-    configs = []
-    for name in names:
-        try:
-            configs.append(system.config_by_name(name))
-        except KeyError:
-            raise _UsageError(f"unknown configuration {name!r}")
-    interval = Interval(tuple(configs))
-    try:
-        validate_interval(system, interval)
-    except ValueError as e:
-        raise _UsageError(str(e))
+        raise InputError("--interval needs at least one configuration")
+    interval = Interval(tuple(system.config_by_name(name) for name in names))
+    validate_interval(system, interval)
     return interval
 
 
@@ -170,17 +133,15 @@ def _pick_engine(f: Formula, engine: str, logic: str) -> str:
         return "bde"
     if fragment == Fragment.ABLN:
         return "abln"
-    raise _UsageError(
+    raise InputError(
         "formula is outside both decidable fragments; use --engine oracle"
     )
 
 
 def _abln_mode(args):
     if args.bound is not None and args.mode is not None:
-        raise _UsageError("--bound and --mode are mutually exclusive")
+        raise InputError("--bound and --mode are mutually exclusive")
     if args.bound is not None:
-        if args.bound < 1:
-            raise _UsageError("--bound must be a positive integer")
         return user_bound(args.bound), f"user {args.bound}"
     if args.mode == "tight":
         return TIGHT_BOUND, "tight"
@@ -189,8 +150,7 @@ def _abln_mode(args):
 
 def cmd_check(args) -> int:
     system = _load(args.system)
-    f = _formula(args.formula, args.logic)
-    _check_names(system, f)
+    f = _formula(system, args.formula, args.logic)
     interval = _interval(system, args.interval)
     if args.all_initial:
         interval = Interval((system.initial,))
@@ -200,10 +160,10 @@ def cmd_check(args) -> int:
     if engine != "oracle" and args.logic == "re":
         try:
             system, f = to_regular_labelling(system, f)
-        except ValueError as e:
-            raise _UsageError(
+        except InputError as e:
+            raise InputError(
                 f"{e}; regex atoms over a general labelling need --engine oracle"
-            )
+            ) from None
     engine = _pick_engine(f, engine, args.logic)
 
     started = time.perf_counter()
@@ -227,8 +187,6 @@ def cmd_check(args) -> int:
                 verdict = Verdict(holds)
             else:
                 verdict = Verdict(holds, bounded_at=total)
-    except FragmentError as e:
-        raise _UsageError(str(e))
     except BoundInfeasibleError as e:
         _emit(
             args,
@@ -265,14 +223,9 @@ def cmd_check(args) -> int:
 def cmd_reduce(args) -> int:
     system = _load(args.system)
     if args.direction == "to-re":
-        f = _formula(args.formula, "plus")
-        new_sys, new_f = to_point_based(system, f)
+        new_sys, new_f = to_point_based(system, _formula(system, args.formula, "plus"))
     else:
-        f = _formula(args.formula, "re")
-        try:
-            new_sys, new_f = to_regular_labelling(system, f)
-        except ValueError as e:
-            raise _UsageError(str(e))
+        new_sys, new_f = to_regular_labelling(system, _formula(system, args.formula, "re"))
 
     sys_text = format_system(new_sys)
     f_text = format_formula(new_f)
@@ -308,8 +261,7 @@ def cmd_classify(args) -> int:
 
 def cmd_stats(args) -> int:
     system = _load(args.system)
-    f = _formula(args.formula, args.logic)
-    _check_names(system, f)
+    f = _formula(system, args.formula, args.logic)
     fragment = fragment_of(f)
     dfa_sizes = {
         var: len(system.dfa_for(var).states) for var in sorted(system.variables)
@@ -358,28 +310,21 @@ def cmd_export_dot(args) -> int:
         print(tg_to_dot(system))
         return EXIT_HOLDS
     if what.startswith("automaton:"):
-        var = what.split(":", 1)[1]
-        if var not in system.variables:
-            raise _UsageError(f"unknown variable {var!r}")
-        print(dfa_to_dot(system.dfa_for(var)))
+        print(dfa_to_dot(system.dfa_for(what.split(":", 1)[1])))
         return EXIT_HOLDS
     if what.startswith("mct:"):
-        rest = what.split(":", 1)[1]
-        formula_text, sep, horizon_text = rest.rpartition(":")
+        formula_text, sep, horizon_text = what.split(":", 1)[1].rpartition(":")
         if not sep:
-            raise _UsageError("mct target needs mct:FORMULA:HORIZON")
+            raise InputError("mct target needs mct:FORMULA:HORIZON")
         try:
             horizon = int(horizon_text)
-        except ValueError:
-            raise _UsageError(f"bad horizon {horizon_text!r}")
-        f = _formula(formula_text, args.logic)
+        except ValueError:  # int() of the command line, not a library error
+            raise InputError(f"bad horizon {horizon_text!r}") from None
+        f = _formula(system, formula_text, args.logic)
         interval = _interval(system, args.interval)
-        try:
-            print(mct_to_dot(compute_mct(system, interval, f, horizon)))
-        except (FragmentError, ValueError) as e:
-            raise _UsageError(str(e))
+        print(mct_to_dot(compute_mct(system, interval, f, horizon)))
         return EXIT_HOLDS
-    raise _UsageError(f"unknown export target {what!r}")
+    raise InputError(f"unknown export target {what!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from .errors import InputError
 from .regexes import RegexExpr, Sym, fold_right, parse_regex, regex_to_text, symbols_of
 from .systems import InterpretedSystem, Relation
 
@@ -143,13 +144,13 @@ def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
     return f
 
 
-class FormulaSyntaxError(ValueError):
+class FormulaSyntaxError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class FragmentError(ValueError):
+class FragmentError(InputError):
     pass
 
 
@@ -323,7 +324,7 @@ class _FormulaParser:
         inner = self.text[self.pos + 1:close]
         try:
             expr = parse_regex(inner, predicate_mode=True)
-        except ValueError as exc:
+        except InputError as exc:
             raise self.error(f"bad regex atom: {exc}", open_pos) from exc
         self.pos = close + 1
         return Atom(expr)
@@ -348,7 +349,7 @@ _PREC_UNARY = len(_BINARY)
 _LEAF_TEXT = {type(node): text for text, node in _KEYWORDS.items()}
 
 
-def _head(node: Formula) -> str:
+def head_text(node: Formula) -> str:
     """The prefix operator of a unary node as printed."""
     if isinstance(node, Not):
         return "!"
@@ -378,7 +379,7 @@ def format_formula(f: Formula) -> str:
         else:
             prec = _PREC_UNARY
             space = "" if isinstance(node, Not) else " "
-            text = _head(node) + space + go(kids[0], prec)
+            text = head_text(node) + space + go(kids[0], prec)
         return f"({text})" if prec < level else text
 
     return go(f, 0)
@@ -467,32 +468,45 @@ def expand_N(f: Formula) -> Formula:
 
 
 def _resolve_step(sys: InterpretedSystem) -> Callable[[Formula], Formula]:
-    """Step replacing agent names in K/C by indices, bounds-checked."""
+    """Step replacing agent names in K/C by indices, bounds-checked, and
+    rejecting variables (of atoms too) the system does not label."""
     by_name = {agent.name: i for i, agent in enumerate(sys.agents)}
+    labelled = sys.labelling
 
     def resolve(ref: AgentRef) -> int:
         if isinstance(ref, str):
             if ref not in by_name:
-                raise ValueError(f"unknown agent {ref!r}")
+                raise InputError(f"unknown agent {ref!r}")
             return by_name[ref]
         if not 0 <= ref < len(sys.agents):
-            raise ValueError(f"agent index {ref} out of range")
+            raise InputError(f"agent index {ref} out of range")
         return ref
 
     def step(f: Formula) -> Formula:
-        if isinstance(f, K):
+        kind = type(f)  # node classes are final
+        if kind is Var:
+            if f.name not in labelled:
+                raise InputError(f"unknown variable {f.name!r}")
+        elif kind is K:
             agent = resolve(f.agent)
             return f if agent == f.agent else K(agent, f.sub)
-        if isinstance(f, C):
+        elif kind is C:
             group = tuple(resolve(a) for a in f.group)
             return f if group == f.group else C(group, f.sub)
+        elif kind is Atom:
+            missing = sorted(variables_of(f) - labelled.keys())
+            if missing:
+                raise InputError(f"unknown variable {missing[0]!r}")
         return f
 
     return step
 
 
 def resolve_agents(sys: InterpretedSystem, f: Formula) -> Formula:
-    """Replace agent names in K/C by indices and bounds-check indices."""
+    """Replace agent names in K/C by indices and bounds-check indices.
+    Raises InputError for an unknown agent and for a variable, or a
+    variable of a regex atom's letter predicate, that the system does
+    not label."""
     return transform(f, _resolve_step(sys))
 
 
@@ -505,9 +519,10 @@ _ENGINE_RELATIONS = {
 
 def prepare(sys: InterpretedSystem, f: Formula, fragment: Fragment) -> Formula:
     """The formula as the engine for `fragment` evaluates it, built in
-    one walk: later rewritten through meets, agents resolved to indices
-    and sugar removed. Raises FragmentError for a relation outside the
-    fragment and for regex atoms (reduce those to variables first)."""
+    one walk: later rewritten through meets, names checked and agents
+    resolved to indices (see `resolve_agents`), and sugar removed.
+    Raises FragmentError for a relation outside the fragment and for
+    regex atoms (reduce those to variables first)."""
     name, allowed = _ENGINE_RELATIONS[fragment]
     resolve = _resolve_step(sys)
     extra: Set[Relation] = set()
@@ -625,20 +640,18 @@ def letter_predicate_holds(symbol: str, valuation: FrozenSet[str]) -> bool:
 # ---------------------------------------------------------------------------
 # Top-level modal subformulas and the interval-type bound
 
-def top_level_subformulas(f: Formula) -> List[Tuple[str, Formula]]:
-    """Maximal modal subformulas reachable through Boolean connectives
-    only, as (modality label, operand) pairs in reading order with
-    duplicates collapsed. Sugar is normalized first, so a box surfaces
-    as its diamond with a negated operand."""
-    out: List[Tuple[str, Formula]] = []
-    stack = [normalize(f)]
+def top_level_subformulas(f: Formula) -> List[Formula]:
+    """The K, C and diamond nodes of a normalized formula (see
+    `normalize`) reachable through Boolean connectives only: its maximal
+    modal subformulas, in reading order with duplicates collapsed."""
+    out: List[Formula] = []
+    stack = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, (Not, And)):
             stack.extend(reversed(children(node)))
-            continue
-        if isinstance(node, (K, C, Diamond)) and (_head(node), node.sub) not in out:
-            out.append((_head(node), node.sub))
+        elif isinstance(node, (K, C, Diamond)) and node not in out:
+            out.append(node)
     return out
 
 
@@ -647,7 +660,7 @@ def _interval_type_bound(
 ) -> int:
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
-    g = eliminate_L(f)
+    g = normalize(eliminate_L(f))
     extra = relations_of(g) - {Relation.A, Relation.BBAR, Relation.N}
     if extra:
         names = ", ".join(sorted(r.value for r in extra))
@@ -665,8 +678,8 @@ def _interval_type_bound(
             return cap
         # 2^e >= cap whenever e reaches cap.bit_length()
         limit = None if cap is None else cap.bit_length()
-        for _, operand in top_level_subformulas(node):
-            exponent = go(operand, limit)
+        for modal in top_level_subformulas(node):
+            exponent = go(modal.sub, limit)
             if limit is not None and exponent >= limit:
                 return cap
             value *= 2 ** exponent

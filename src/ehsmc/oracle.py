@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
+from .errors import InputError
 from .formulas import (
     And,
     Atom,
@@ -115,9 +116,9 @@ def oracle_check(
     by total anchored length <= bound (see module docstring for the
     exact admission rule per relation)."""
     if bound < 1:
-        raise ValueError("bound must be positive")
+        raise InputError("bound must be positive")
     if anchored.total_length > bound:
-        raise ValueError(
+        raise InputError(
             f"anchored interval has total length {anchored.total_length}, "
             f"over the bound {bound}"
         )
@@ -151,8 +152,6 @@ def oracle_check(
         if isinstance(node, Bot):
             return False
         if isinstance(node, Var):
-            if node.name not in sys.labelling:
-                raise KeyError(f"unknown variable {node.name!r}")
             return denotes(sys.labelling[node.name], [config_str(g) for g in c])
         if isinstance(node, Atom):
             return denotes(node.expr, [valuation(g) for g in c],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Tuple
 
+from .errors import InputError
 from .formulas import (
     Atom,
     Formula,
@@ -24,12 +25,12 @@ from .formulas import (
 )
 from .regexes import (
     EMPTY,
-    Empty,
-    Epsilon,
+    Concat,
     LanguageShape,
     RegexExpr,
     Star,
     Sym,
+    Union,
     language_shape,
     map_symbols,
     regex_to_text,
@@ -39,17 +40,21 @@ from .systems import GlobalConfig, InterpretedSystem, config_str
 
 
 def _expr_size(expr: RegexExpr) -> int:
-    if isinstance(expr, (Empty, Epsilon, Sym)):
-        return 1
-    if isinstance(expr, Star):
-        return 1 + _expr_size(expr.inner)
-    return 1 + _expr_size(expr.left) + _expr_size(expr.right)
+    size, stack = 0, [expr]
+    while stack:
+        node = stack.pop()
+        size += 1
+        if isinstance(node, Star):
+            stack.append(node.inner)
+        elif isinstance(node, (Concat, Union)):
+            stack += (node.left, node.right)
+    return size
 
 
 def _require_point_based(sys: InterpretedSystem) -> None:
     for var in sys.variables:
         if language_shape(sys.dfa_for(var)) != LanguageShape.POINT_BASED:
-            raise ValueError(
+            raise InputError(
                 f"labelling is not point-based: variable {var!r} accepts "
                 f"words of length other than 1"
             )
@@ -85,7 +90,7 @@ def lambda_compose(sys: InterpretedSystem, r: RegexExpr) -> RegexExpr:
     def matching(symbol: str) -> List[str]:
         for name in predicate_variables(symbol):
             if name not in sys.labelling:
-                raise KeyError(f"unknown variable {name!r}")
+                raise InputError(f"unknown variable {name!r}")
         return [
             config_str(g)
             for g in sys.all_configs
@@ -121,13 +126,13 @@ def to_point_based(
     def inline(node: Formula) -> Formula:
         if isinstance(node, Var):
             if node.name not in sys.labelling:
-                raise KeyError(f"unknown variable {node.name!r}")
+                raise InputError(f"unknown variable {node.name!r}")
             return Atom(map_symbols(
                 sys.labelling[node.name],
                 lambda s: Sym(fresh[s]) if s in fresh else EMPTY,
             ))
         if isinstance(node, Atom):
-            raise ValueError("formula already carries regex atoms")
+            raise InputError("formula already carries regex atoms")
         return node
 
     out = transform(f, inline)
@@ -165,7 +170,7 @@ def to_regular_labelling(
             continue
         name = atom_variable_name(atom.expr)
         if name in new_labelling:
-            raise ValueError(f"fresh variable name collision on {name!r}")
+            raise InputError(f"fresh variable name collision on {name!r}")
         names[key] = name
         new_labelling[name] = lambda_compose(sys, atom.expr)
     new_sys = InterpretedSystem(sys.agents, new_labelling, sys.aliases)

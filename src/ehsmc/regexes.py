@@ -34,6 +34,8 @@ from typing import (
     Tuple,
 )
 
+from .errors import InputError
+
 Symbol = str
 
 
@@ -124,13 +126,19 @@ def symbols_of(expr: RegexExpr) -> Set[Symbol]:
 
 
 def map_symbols(expr: RegexExpr, fn: Callable[[Symbol], RegexExpr]) -> RegexExpr:
-    """The expression with every symbol s replaced by the expression fn(s)."""
+    """The expression with every symbol s replaced by the expression fn(s).
+    Right operands of Concat and Union are followed in a loop, so a long
+    chain costs no recursion."""
+    spine: List[RegexExpr] = []
+    while isinstance(expr, (Concat, Union)):
+        spine.append(expr)
+        expr = expr.right
     if isinstance(expr, Sym):
-        return fn(expr.symbol)
-    if isinstance(expr, Star):
-        return Star(map_symbols(expr.inner, fn))
-    if isinstance(expr, (Concat, Union)):
-        return type(expr)(map_symbols(expr.left, fn), map_symbols(expr.right, fn))
+        expr = fn(expr.symbol)
+    elif isinstance(expr, Star):
+        expr = Star(map_symbols(expr.inner, fn))
+    for node in reversed(spine):
+        expr = type(node)(map_symbols(node.left, fn), expr)
     return expr
 
 
@@ -151,13 +159,13 @@ def union_of(parts: Sequence[RegexExpr]) -> RegexExpr:
 # Parsing
 
 
-class RegexSyntaxError(ValueError):
+class RegexSyntaxError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class UnknownSymbolError(ValueError):
+class UnknownSymbolError(InputError):
     def __init__(self, token: str, position: int):
         super().__init__(f"unknown symbol {token!r} (at position {position})")
         self.token = token
@@ -165,6 +173,29 @@ class UnknownSymbolError(ValueError):
 
 
 _IDENT = _stdre.compile(r"[A-Za-z0-9_.]+")
+
+# Deepest nesting of parentheses, stars and chains the parser accepts
+# (see `regex_depth`). Parsing takes four frames per parenthesis and the
+# walks over an expression one frame per level, so 100 levels leave the
+# caller most of the default recursion limit.
+MAX_REGEX_DEPTH = 100
+
+
+def regex_depth(expr: RegexExpr) -> int:
+    """The most stars and chains nested on one path from the root to a
+    leaf, a chain being a run of Concat (or of Union) nodes along right
+    operands: the recursion depth of the walks over an expression."""
+    deepest = 0
+    stack = [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Star):
+            stack.append((node.inner, depth + 1))
+        elif isinstance(node, (Concat, Union)):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + (type(node.right) is not type(node))))
+    return deepest
 
 
 class _Tokenizer:
@@ -262,6 +293,7 @@ class _RegexParser:
         self.index = 0
         self.alphabet = alphabet
         self.aliases = aliases or {}
+        self.parens = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.index]
@@ -314,10 +346,14 @@ class _RegexParser:
         if kind == "sym":
             return Sym(self._resolve(value, pos))
         if kind == "op" and value == "(":
+            self.parens += 1
+            if self.parens > MAX_REGEX_DEPTH:
+                raise RegexSyntaxError(f"nested deeper than {MAX_REGEX_DEPTH} levels", pos)
             expr = self._union()
             kind, value, pos = self.consume()
             if not (kind == "op" and value == ")"):
                 raise RegexSyntaxError("expected ')'", pos)
+            self.parens -= 1
             return expr
         raise RegexSyntaxError(f"unexpected token {value!r}", pos)
 
@@ -344,7 +380,13 @@ def parse_regex(
     With alphabet None any identifier is accepted, which is how the
     letter-predicate atoms of the regex-labelled logic are parsed.
     """
-    return _RegexParser(text, alphabet, aliases, predicate_mode).parse()
+    expr = _RegexParser(text, alphabet, aliases, predicate_mode).parse()
+    # A parenthesis level holds at most a union and a concatenation chain,
+    # so the depth is at most this bound, and most labels skip the walk.
+    if 2 * text.count("(") + text.count("*") + 2 > MAX_REGEX_DEPTH:
+        if regex_depth(expr) > MAX_REGEX_DEPTH:
+            raise RegexSyntaxError(f"nested deeper than {MAX_REGEX_DEPTH} levels", 0)
+    return expr
 
 
 def regex_to_text(expr: RegexExpr, display: Optional[Callable[[Symbol], str]] = None) -> str:
@@ -365,17 +407,20 @@ def regex_to_text(expr: RegexExpr, display: Optional[Callable[[Symbol], str]] = 
             return "eps"
         if isinstance(e, Sym):
             return disp(e.symbol)
-        if isinstance(e, Union):
-            # Chains re-parse right-associated, so a union on the left
-            # keeps its parentheses.
-            body = f"{go(e.left, 1)} + {go(e.right, 0)}"
-            return f"({body})" if outer > 0 else body
-        if isinstance(e, Concat):
-            body = f"{go(e.left, 2)} {go(e.right, 1)}"
-            return f"({body})" if outer > 1 else body
         if isinstance(e, Star):
             return f"{go(e.inner, 2)}*"
-        raise TypeError(f"not a regex node: {e!r}")
+        if not isinstance(e, (Union, Concat)):
+            raise TypeError(f"not a regex node: {e!r}")
+        # A chain is printed in a loop along right operands. It re-parses
+        # right-associated, so a chain on the left keeps its parentheses.
+        kind, level, sep = (Union, 0, " + ") if isinstance(e, Union) else (Concat, 1, " ")
+        parts = []
+        while isinstance(e, kind):
+            parts.append(go(e.left, level + 1))
+            e = e.right
+        parts.append(go(e, level))
+        body = sep.join(parts)
+        return f"({body})" if outer > level else body
 
     return go(expr, 0)
 
@@ -385,15 +430,22 @@ def regex_to_text(expr: RegexExpr, display: Optional[Callable[[Symbol], str]] = 
 
 
 def _nullable(e: RegexExpr) -> bool:
-    if isinstance(e, (Epsilon, Star)):
-        return True
-    if isinstance(e, (Empty, Sym)):
-        return False
-    if isinstance(e, Concat):
-        return _nullable(e.left) and _nullable(e.right)
-    if isinstance(e, Union):
-        return _nullable(e.left) or _nullable(e.right)
-    raise TypeError(f"not a regex node: {e!r}")
+    """Whether the empty word is in the language. Right operands are
+    followed in a loop, so a long chain costs no recursion."""
+    while True:
+        if isinstance(e, (Epsilon, Star)):
+            return True
+        if isinstance(e, (Empty, Sym)):
+            return False
+        if isinstance(e, Concat):
+            if not _nullable(e.left):
+                return False
+        elif isinstance(e, Union):
+            if _nullable(e.left):
+                return True
+        else:
+            raise TypeError(f"not a regex node: {e!r}")
+        e = e.right
 
 
 def _mk_concat(left: RegexExpr, right: RegexExpr) -> RegexExpr:

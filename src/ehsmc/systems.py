@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .errors import InputError
 from .regexes import (
     Alphabet,
     Dfa,
@@ -134,11 +135,12 @@ class InterpretedSystem:
         self.aliases: Dict[str, GlobalConfig] = dict(aliases or {})
 
         self.initial: GlobalConfig = tuple(a.init for a in self.agents)
+        # Degenerate inputs (an agent with no or duplicate states) still
+        # construct, so validate_system can report them instead of the
+        # constructor raising.
         self.all_configs: Tuple[GlobalConfig, ...] = tuple(
-            sorted(itertools.product(*(a.states for a in self.agents)))
+            sorted(set(itertools.product(*(a.states for a in self.agents))))
         )
-        # Degenerate inputs (an agent with no states) still construct, so
-        # validate_system can report them instead of the constructor raising.
         self.alphabet: Optional[Alphabet] = (
             Alphabet(tuple(config_str(g) for g in self.all_configs))
             if self.all_configs
@@ -218,11 +220,11 @@ class InterpretedSystem:
         for g in self.all_configs:
             if config_str(g) == name:
                 return g
-        raise KeyError(f"unknown configuration {name!r}")
+        raise InputError(f"unknown configuration {name!r}")
 
     def dfa_for(self, var: str) -> Dfa:
         if var not in self.labelling:
-            raise KeyError(f"unknown variable {var!r}")
+            raise InputError(f"unknown variable {var!r}")
         if self.alphabet is None:
             raise ValueError("system has an empty configuration space")
         if var not in self._dfas:
@@ -253,12 +255,12 @@ def label_holds(sys: InterpretedSystem, var: str, interval: Interval) -> bool:
 
 def validate_interval(sys: InterpretedSystem, interval: Interval) -> None:
     if interval.first not in sys.reachable_set:
-        raise ValueError(
+        raise InputError(
             f"interval start {sys.display(interval.first)} is not reachable"
         )
     for a, b in zip(interval.configs, interval.configs[1:]):
         if not global_step(sys, a, b):
-            raise ValueError(
+            raise InputError(
                 f"{sys.display(a)} -> {sys.display(b)} is not a global step"
             )
 
@@ -453,7 +455,7 @@ def validate_system(sys: InterpretedSystem) -> ValidationReport:
 # Text format
 
 
-class SystemParseError(ValueError):
+class SystemParseError(InputError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
@@ -551,19 +553,34 @@ def parse_system(text: str) -> InterpretedSystem:
             f"cannot parse labels: agent {empty} declares no states",
             label_lines[0][2],
         )
-    alphabet = Alphabet(tuple(config_str(c) for c in configs)) if configs else None
+    alphabet = Alphabet(tuple({config_str(c) for c in configs})) if configs else None
     labelling: Dict[str, RegexExpr] = {}
     for var, expr_text, lineno in label_lines:
         try:
             labelling[var] = parse_regex(expr_text, alphabet, alias_to_symbol)
-        except ValueError as exc:
+        except InputError as exc:
             raise SystemParseError(f"label {var}: {exc}", lineno) from exc
     return InterpretedSystem(components, labelling, aliases)
 
 
+def read_input(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read is an
+    InputError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as e:
+        raise InputError(f"{path}: {getattr(e, 'strerror', None) or e}") from None
+
+
 def load_system(path: str) -> InterpretedSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+    """Parse a system file; a parse error names the path."""
+    text = read_input(path)
+    try:
+        return parse_system(text)
+    except SystemParseError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def format_system(sys: InterpretedSystem) -> str:

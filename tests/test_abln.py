@@ -14,6 +14,7 @@ from ehsmc.abln import (
     regular_witness_search,
     user_bound,
 )
+from ehsmc.errors import InputError
 from ehsmc.formulas import FragmentError, fis_bound, parse_plus, tight_bound
 from ehsmc.oracle import minimal_anchor, oracle_check
 from ehsmc.systems import Interval, parse_system
@@ -127,7 +128,7 @@ class TestWitnessSearch:
             regular_witness_search(is_ex, parse_plus("<A> p"), starts_at=gs["g1"])
 
     def test_unknown_variable(self, is_ex, gs):
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError):
             regular_witness_search(is_ex, parse_plus("zz"), starts_at=gs["g1"])
 
     def test_agrees_with_plain_enumeration(self, is_ex, gs):
@@ -212,6 +213,13 @@ class TestFragmentAndErrors:
         bad = Interval((gs["g1"], gs["g3"]))
         with pytest.raises(ValueError):
             check_abln(is_ex, bad, parse_plus("<A> p"), user_bound(2))
+
+    def test_unknown_variable(self, is_ex, gs):
+        # p fails on the point, so the evaluator alone would never look at zz
+        with pytest.raises(InputError, match="unknown variable 'zz'"):
+            check_abln(is_ex, iv(gs, "g1"), parse_plus("p & <A> zz"), LITERAL_BOUND)
+        with pytest.raises(InputError, match="unknown variable 'zz'"):
+            compute_mct(is_ex, iv(gs, "g1"), parse_plus("<A> zz"), 2)
 
     def test_depth_two_literal_bound_is_infeasible(self, is_ex, gs):
         with pytest.raises(BoundInfeasibleError) as e:

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from ehsmc.bde import check_bde
+from ehsmc.errors import InputError
 from ehsmc.formulas import And, FragmentError, Not, parse_plus
 from ehsmc.oracle import minimal_anchor, oracle_check
 from ehsmc.systems import Interval
@@ -73,6 +74,11 @@ class TestPreconditions:
     def test_rejects_invalid_intervals(self, is_ex, gs):
         with pytest.raises(ValueError):
             check_bde(is_ex, iv(gs, "g1", "g3"), parse_plus("pi"))
+
+    def test_rejects_unknown_variables(self, is_ex, gs):
+        # p fails on the point, so the evaluator alone would never look at zz
+        with pytest.raises(InputError, match="unknown variable 'zz'"):
+            check_bde(is_ex, iv(gs, "g1"), parse_plus("p & zz"))
 
 
 class TestAgreement:

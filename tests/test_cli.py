@@ -1,15 +1,22 @@
 """Command-line interface: golden exit statuses and deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ehsmc
 from ehsmc.cli import main
 from ehsmc.formulas import MAX_FORMULA_DEPTH
 
 from conftest import POINT_SYS_TEXT, data_path
 
 IS_EX = data_path("is_ex.isrl")
+DATA_DIR = os.path.dirname(IS_EX)
+with open(IS_EX) as fh:
+    IS_EX_TEXT = fh.read()
 
 
 @pytest.fixture()
@@ -124,6 +131,49 @@ class TestCheckExits:
         second = run(capsys, "check", IS_EX, "<A> p", "--json")
         assert first == second
         assert "elapsed" not in first[1]
+
+
+class TestInputErrors:
+    """Bad input of every command exits 2 with one line and no output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", DATA_DIR, "p"],
+        ["classify", DATA_DIR],
+        ["export-dot", DATA_DIR, "tg"],
+        ["oracle", IS_EX, "<A> p", "--bound", "-5"],
+        ["check", IS_EX, "<A> p", "--engine", "abln", "--bound", "0"],
+        ["reduce", IS_EX, "K{9} p", "--direction", "to-re"],
+        ["reduce", IS_EX, "{T zz}", "--direction", "to-plus"],
+        ["export-dot", IS_EX, "mct:K{Ghost} p:2"],
+        ["export-dot", IS_EX, "mct:<A> p:0"],
+        ["export-dot", IS_EX, "automaton:zz"],
+    ])
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", IS_EX, "zz", "--direction", "to-re"],
+        ["export-dot", IS_EX, "mct:<A> zz:2"],
+    ])
+    def test_unknown_variable_outside_check(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: formula: unknown variable 'zz'\n"
+
+    def test_entry_point_reports_without_traceback(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(ehsmc.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehsmc.cli", "check", str(tmp_path), "p"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {tmp_path}: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestReduce:
@@ -268,6 +318,18 @@ label p = ct
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "arity 2, expected 1" in err
 
+    @pytest.mark.parametrize("text", [
+        # the duplicate makes two equal configurations
+        IS_EX_TEXT.replace("states l1 l2 l3", "states l1 l2 l2 l3"),
+        "\xff\xfe agent",
+    ])
+    def test_malformed_file_is_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "malformed.isrl"
+        path.write_bytes(text.encode("latin-1"))
+        code, out, err = run(capsys, "check", str(path), "p")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     def test_warnings_go_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "deadlock.isrl"
         path.write_text(self.ONE_AGENT.replace("(go,go)", "(go)").replace(
@@ -334,5 +396,45 @@ class TestLargeInputs:
          "!" * 2000 + "p", " & ".join(["p"] * 1500), "<B>" * 600 + "p"])
     def test_one_level_deeper_is_exit_2(self, capsys, formula):
         code, out, err = run(capsys, "check", IS_EX, formula)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "nested deeper than" in err
+
+
+def with_label(tmp_path, regex: str) -> str:
+    """The running example plus `label q = REGEX`."""
+    path = tmp_path / "labelled.isrl"
+    path.write_text(IS_EX_TEXT + f"label q = {regex}\n")
+    return str(path)
+
+
+class TestDeepRegexes:
+    @pytest.mark.parametrize("regex", ["(" * 400 + "g1" + ")" * 400, "g1" + "*" * 2000])
+    @pytest.mark.parametrize("argv", [
+        ["check", "SYSTEM", "q"],
+        ["classify", "SYSTEM"],
+        ["reduce", "SYSTEM", "q", "--direction", "to-re"],
+    ])
+    def test_deep_label_is_exit_2(self, capsys, tmp_path, regex, argv):
+        path = with_label(tmp_path, regex)
+        code, out, err = run(capsys, *[path if arg == "SYSTEM" else arg for arg in argv])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "label q: nested deeper than" in err
+
+    def test_long_star_chain_label(self, capsys, tmp_path):
+        # 1,200 starred items: the empty-word check on load walks the chain
+        path = with_label(tmp_path, " ".join(["g1*"] * 1200))
+        code, out, err = run(capsys, "check", path, "q")
+        assert code == 0 and "verdict: holds" in out
+        assert err == "warning: label q: accepts the empty word, which no interval can match\n"
+
+    def test_reduce_long_word_label(self, capsys, tmp_path):
+        path = with_label(tmp_path, " ".join(["g1"] * 1200))
+        code, out, err = run(capsys, "reduce", path, "q", "--direction", "to-re")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "formula: {" + " ".join(["v_g1"] * 1200) + "}"
+
+    def test_deep_regex_atom_is_exit_2(self, capsys):
+        formula = "{" + "(" * 400 + "p" + ")" * 400 + "}"
+        code, out, err = run(capsys, "check", IS_EX, formula, "--logic", "re")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "nested deeper than" in err

@@ -229,19 +229,19 @@ class TestStructure:
         assert fragment_of(parse_plus("[Bbar] p & <L> q")) is Fragment.ABLN
 
     def test_top_level_subformulas(self):
-        f = parse_plus("K{0} pi & !<A> p")
-        assert top_level_subformulas(f) == [("K{0}", PI), ("<A>", Var("p"))]
+        f = normalize(parse_plus("K{0} pi & !<A> p"))
+        assert top_level_subformulas(f) == [K(0, PI), Diamond(Relation.A, Var("p"))]
         assert top_level_subformulas(parse_plus("p & pi")) == []
         nested = parse_plus("<A><A> p")
-        assert top_level_subformulas(nested) == [("<A>", Diamond(Relation.A, Var("p")))]
+        assert top_level_subformulas(nested) == [nested]
 
     def test_top_level_collapses_duplicates(self):
-        f = parse_plus("<A> p & (<A> p | K{0} pi)")
-        assert top_level_subformulas(f) == [("<A>", Var("p")), ("K{0}", PI)]
+        f = normalize(parse_plus("<A> p & (<A> p | K{0} pi)"))
+        assert top_level_subformulas(f) == [Diamond(Relation.A, Var("p")), K(0, PI)]
 
     def test_top_level_sees_through_boxes(self):
-        f = parse_plus("[A] p")
-        assert top_level_subformulas(f) == [("<A>", Not(Var("p")))]
+        f = normalize(parse_plus("[A] p"))
+        assert top_level_subformulas(f) == [Diamond(Relation.A, Not(Var("p")))]
 
     def test_modal_measures(self):
         f = parse_plus("K{0} pi & !<A> p")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ehsmc.errors import InputError
 from ehsmc.formulas import parse_plus, parse_re
 from ehsmc.oracle import minimal_anchor, oracle_check
 from ehsmc.systems import AnchoredInterval, Interval
@@ -113,6 +114,14 @@ class TestInputChecking:
         aI = anchored(gs, ("g1", "g3"), ("g1",))
         with pytest.raises(ValueError):
             oracle_check(is_ex, aI, parse_plus("pi"), 4)
+
+    def test_bound_must_be_positive(self, is_ex, gs):
+        with pytest.raises(InputError):
+            oracle_check(is_ex, anchored(gs, (), ("g1",)), parse_plus("pi"), -5)
+
+    def test_rejects_unknown_predicate_variables(self, is_ex, gs):
+        with pytest.raises(InputError, match="unknown variable 'zz'"):
+            oracle_check(is_ex, anchored(gs, (), ("g1",)), parse_re("{T zz}"), 4)
 
     def test_minimal_anchor(self, is_ex, gs):
         assert minimal_anchor(is_ex, iv(gs, "g1")).history == ()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ehsmc.errors import InputError
 from ehsmc.formulas import Atom, K, Var, parse_plus, parse_re
 from ehsmc.oracle import minimal_anchor, oracle_check
 from ehsmc.regexes import (
@@ -67,9 +68,9 @@ class TestLambdaCompose:
         assert lambda_compose(two, pred("(p,z)")) == Empty()
 
     def test_unknown_variable(self, two):
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError):
             lambda_compose(two, pred("nope"))
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError):
             lambda_compose(two, pred("!nope"))
 
     def test_non_point_based_labelling_rejected(self, is_ex):

@@ -17,6 +17,7 @@ from ehsmc.regexes import (
     EPSILON,
     Alphabet,
     Concat,
+    MAX_REGEX_DEPTH,
     LanguageShape,
     RegexSyntaxError,
     Star,
@@ -28,7 +29,9 @@ from ehsmc.regexes import (
     denotes,
     dfa_to_dot,
     language_shape,
+    map_symbols,
     parse_regex,
+    regex_depth,
     regex_to_text,
     run,
     symbols_of,
@@ -393,7 +396,55 @@ class TestLargeAlphabets:
 @given(expr=regex_strategy(("a", "b")))
 def test_print_parse_round_trip(expr):
     alpha = Alphabet(("a", "b"))
-    assert parse_regex(regex_to_text(expr), alpha) == expr
+    text = regex_to_text(expr)
+    assert parse_regex(text, alpha) == expr
+    # the bound that lets parse_regex skip measuring the depth
+    assert regex_depth(expr) <= 2 * text.count("(") + text.count("*") + 2
+
+
+# --- nesting and long chains -------------------------------------------------
+
+
+class TestNesting:
+    def test_depth_counts_stars_and_chains_not_chain_length(self):
+        assert regex_depth(Sym("a")) == 0
+        assert regex_depth(parse_regex("a b c d + e")) == 2
+        assert regex_depth(parse_regex("a***")) == 3
+        assert regex_depth(parse_regex("(a b) c")) == 2
+        assert regex_depth(parse_regex(" ".join(["a"] * 3000))) == 1
+
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_REGEX_DEPTH + "a" + ")" * MAX_REGEX_DEPTH,
+        "a" + "*" * MAX_REGEX_DEPTH,
+        # each level is a concatenation, a star and a union
+        "(a + " * (MAX_REGEX_DEPTH // 3) + "a" + ")* b" * (MAX_REGEX_DEPTH // 3),
+    ])
+    def test_nesting_at_the_limit_parses(self, text):
+        expr = parse_regex(text)
+        assert regex_depth(expr) <= MAX_REGEX_DEPTH
+        assert parse_regex(regex_to_text(expr)) == expr
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_REGEX_DEPTH + 1) + "a" + ")" * (MAX_REGEX_DEPTH + 1),
+        "(" * 400 + "a" + ")" * 400,
+        "a" + "*" * (MAX_REGEX_DEPTH + 1),
+        "a" + "*" * 2000,
+        "(a + " * (MAX_REGEX_DEPTH // 3 + 1) + "a" + ")* b" * (MAX_REGEX_DEPTH // 3 + 1),
+    ])
+    def test_deeper_nesting_is_rejected(self, text):
+        with pytest.raises(RegexSyntaxError, match="nested deeper than"):
+            parse_regex(text)
+
+    @pytest.mark.parametrize("sep", [" ", " + "])
+    def test_long_chains_cost_no_recursion(self, sep):
+        # (deep dataclass equality would itself recurse, so compare text)
+        text = sep.join(["a*"] * 3000)
+        expr = parse_regex(text)
+        assert regex_to_text(expr) == text
+        upper = map_symbols(expr, lambda s: Sym(s.upper()))
+        assert regex_to_text(upper) == text.replace("a", "A")
+        assert denotes(expr, [])  # the empty word, through the nullable walk only
+        assert not denotes(parse_regex(sep.join(["a"] * 3000)), [])
 
 
 # --- DOT -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ehsmc.errors import InputError
 from ehsmc.regexes import EPSILON, parse_regex
 from ehsmc.systems import (
     AnchoredInterval,
@@ -72,7 +73,7 @@ class TestRunningExample:
         assert label_holds(is_ex, "p", iv(gs, "g1", "g2", "g3"))
         assert label_holds(is_ex, "p", iv(gs, "g1", "g2", "g1", "g2", "g3"))
         assert not label_holds(is_ex, "p", iv(gs, "g1"))
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError):
             label_holds(is_ex, "nope", iv(gs, "g1"))
 
     def test_validation_clean(self, is_ex):
