@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import accumulate
 from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InputError
@@ -322,6 +323,11 @@ class _FormulaParser:
         if close < 0:
             raise self.error("unterminated regex atom", open_pos)
         inner = self.text[self.pos + 1:close]
+        # The regex parser recurses on top of this one, so the atom's
+        # parentheses count toward the formula's nesting budget.
+        nesting = max(accumulate((ch == "(") - (ch == ")") for ch in inner), default=0)
+        if self.parens + nesting > MAX_FORMULA_DEPTH:
+            raise self.error(f"nested deeper than {MAX_FORMULA_DEPTH} levels", open_pos)
         try:
             expr = parse_regex(inner, predicate_mode=True)
         except InputError as exc:

@@ -25,30 +25,20 @@ from .formulas import (
 )
 from .regexes import (
     EMPTY,
-    Concat,
     LanguageShape,
     RegexExpr,
-    Star,
     Sym,
-    Union,
     language_shape,
     map_symbols,
     regex_to_text,
+    subexpressions,
     union_of,
 )
 from .systems import GlobalConfig, InterpretedSystem, config_str
 
 
 def _expr_size(expr: RegexExpr) -> int:
-    size, stack = 0, [expr]
-    while stack:
-        node = stack.pop()
-        size += 1
-        if isinstance(node, Star):
-            stack.append(node.inner)
-        elif isinstance(node, (Concat, Union)):
-            stack += (node.left, node.right)
-    return size
+    return sum(1 for _ in subexpressions(expr))
 
 
 def _require_point_based(sys: InterpretedSystem) -> None:

@@ -16,6 +16,11 @@ minterms of symbolic automata: D'Antoni and Veanes, "Minimization of
 symbolic automata", POPL 2014); only the finished transition table is
 spelled out letter by letter. `denotes` keeps working letter by letter
 on the expression, so it still checks the compiled route independently.
+
+The concrete syntax is read by one compiled token pattern, `_TOKEN`:
+after optional whitespace comes a tuple symbol such as "(l0, l1)", an
+operator among `* + | ; ( )`, a name (with a glued "!" in predicate
+mode), or any other character, which is an error naming its position.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -109,20 +115,22 @@ EMPTY = Empty()
 EPSILON = Epsilon()
 
 
-def symbols_of(expr: RegexExpr) -> Set[Symbol]:
-    """All symbols occurring in the expression."""
-    out: Set[Symbol] = set()
+def subexpressions(expr: RegexExpr) -> Iterator[RegexExpr]:
+    """Every node of the expression in reading order, `expr` first."""
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Sym):
-            out.add(node.symbol)
-        elif isinstance(node, (Concat, Union)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Star):
+        yield node
+        kind = type(node)  # node classes are final: `is` beats isinstance
+        if kind is Concat or kind is Union:
+            stack += (node.right, node.left)
+        elif kind is Star:
             stack.append(node.inner)
-    return out
+
+
+def symbols_of(expr: RegexExpr) -> Set[Symbol]:
+    """All symbols occurring in the expression."""
+    return {node.symbol for node in subexpressions(expr) if type(node) is Sym}
 
 
 def map_symbols(expr: RegexExpr, fn: Callable[[Symbol], RegexExpr]) -> RegexExpr:
@@ -172,8 +180,6 @@ class UnknownSymbolError(InputError):
         self.position = position
 
 
-_IDENT = _stdre.compile(r"[A-Za-z0-9_.]+")
-
 # Deepest nesting of parentheses, stars and chains the parser accepts
 # (see `regex_depth`). Parsing takes four frames per parenthesis and the
 # walks over an expression one frame per level, so 100 levels leave the
@@ -198,87 +204,37 @@ def regex_depth(expr: RegexExpr) -> int:
     return deepest
 
 
-class _Tokenizer:
-    """Lexer for the concrete regex syntax.
+_IDENT = r"[A-Za-z0-9_.]+"
+# A "(" opens a tuple symbol only when a comma list of at least two names
+# and a ")" follow; otherwise it is grouping. Tuple symbols therefore need
+# at least two components, which is why single-agent systems must use
+# aliases.
+_TOKEN = _stdre.compile(
+    rf"\s*(?:(?P<tuple>\(\s*{_IDENT}\s*(?:,\s*{_IDENT}\s*)+\))"
+    rf"|(?P<op>[*+|;()])|(?P<word>!?{_IDENT})|(?P<bad>\S))"
+)
 
-    A '(' immediately followed by an identifier list with commas is read
-    as one inline tuple symbol such as "(l0,l1)"; a lone parenthesized
-    expression is grouping. Tuple symbols therefore need at least two
-    components, which is why single-agent systems must use aliases.
-    """
 
-    def __init__(self, text: str, predicate_mode: bool = False):
-        self.text = text
-        self.pos = 0
-        self.predicate_mode = predicate_mode
-        self.tokens: List[Tuple[str, str, int]] = []  # (kind, value, pos)
-        self._scan()
-
-    def _scan(self) -> None:
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "*+|;)":
-                self.tokens.append(("op", ch, i))
-                i += 1
-                continue
-            if ch == "(":
-                tup = self._try_tuple(i)
-                if tup is not None:
-                    value, end = tup
-                    self.tokens.append(("sym", value, i))
-                    i = end
-                else:
-                    self.tokens.append(("op", "(", i))
-                    i += 1
-                continue
-            if ch == "!" and self.predicate_mode:
-                m = _IDENT.match(text, i + 1)
-                if not m:
-                    raise RegexSyntaxError("dangling '!'", i)
-                self.tokens.append(("sym", "!" + m.group(0), i))
-                i = m.end()
-                continue
-            m = _IDENT.match(text, i)
-            if m:
-                word = m.group(0)
-                if word == "empty":
-                    self.tokens.append(("empty", word, i))
-                elif word == "eps":
-                    self.tokens.append(("eps", word, i))
-                else:
-                    self.tokens.append(("sym", word, i))
-                i = m.end()
-                continue
-            raise RegexSyntaxError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("eof", "", n))
-
-    def _try_tuple(self, start: int) -> Optional[Tuple[str, int]]:
-        # Commit to a tuple symbol only on "( IDENT ," lookahead.
-        text = self.text
-        i = start + 1
-        parts: List[str] = []
-        while True:
-            while i < len(text) and text[i].isspace():
-                i += 1
-            m = _IDENT.match(text, i)
-            if not m:
-                return None
-            parts.append(m.group(0))
-            i = m.end()
-            while i < len(text) and text[i].isspace():
-                i += 1
-            if i < len(text) and text[i] == ",":
-                i += 1
-                continue
-            if i < len(text) and text[i] == ")" and len(parts) >= 2:
-                return "(" + ",".join(parts) + ")", i + 1
-            return None
+def _tokenize(text: str, predicate_mode: bool) -> List[Tuple[str, str, int]]:
+    """The (kind, value, position) tokens of the text, ending with "eof".
+    Whitespace inside a tuple symbol is dropped, and a "!" glued to a name
+    is part of the symbol in predicate mode only."""
+    tokens: List[Tuple[str, str, int]] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.start(kind)
+        if kind == "tuple":
+            tokens.append(("sym", "".join(value.split()), pos))
+        elif kind == "op":
+            tokens.append(("op", value, pos))
+        elif kind == "word" and (predicate_mode or value[0] != "!"):
+            tokens.append((value if value in ("empty", "eps") else "sym", value, pos))
+        elif value == "!" and predicate_mode:
+            raise RegexSyntaxError("dangling '!'", pos)
+        else:
+            raise RegexSyntaxError(f"unexpected character {value[0]!r}", pos)
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 class _RegexParser:
@@ -289,7 +245,7 @@ class _RegexParser:
         aliases: Optional[Dict[str, Symbol]] = None,
         predicate_mode: bool = False,
     ):
-        self.tokens = _Tokenizer(text, predicate_mode).tokens
+        self.tokens = _tokenize(text, predicate_mode)
         self.index = 0
         self.alphabet = alphabet
         self.aliases = aliases or {}
@@ -709,56 +665,33 @@ def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
             break
         block = new_block
 
-    # Quotient, then breadth-first renaming from the initial block. Classes
-    # are visited in the order of their least letter, so states are found
-    # in the same order as by visiting every letter in alphabet order.
-    rep_delta: Dict[Tuple[int, int], int] = {}
-    block_accepting: Set[int] = set()
+    # Name each block after its first subset. Subsets were found
+    # breadth-first over classes in least-letter order, and every member
+    # of a block has the same successor blocks, so blocks in the order of
+    # their first subset are the quotient's breadth-first order over
+    # letters in alphabet order.
+    first: Dict[int, int] = {}
     for i in range(n):
-        for c in classes:
-            rep_delta[(block[i], c)] = block[delta[(i, c)]]
-        if i in accepting:
-            block_accepting.add(block[i])
+        first.setdefault(block[i], i)
+    reps = list(first.values())
 
-    init_block = block[0]
-    bfs_order: List[int] = [init_block]
-    seen = {init_block}
-    qi = 0
-    while qi < len(bfs_order):
-        b = bfs_order[qi]
-        qi += 1
-        for c in classes:
-            t = rep_delta[(b, c)]
-            if t not in seen:
-                seen.add(t)
-                bfs_order.append(t)
+    def dead(i: int) -> bool:
+        return i not in accepting and all(block[delta[(i, c)]] == block[i] for c in classes)
 
-    def dead(b: int) -> bool:
-        return b not in block_accepting and all(rep_delta[(b, c)] == b for c in classes)
-
-    names: Dict[int, str] = {}
-    counter = 1
-    dead_block = next((b for b in bfs_order if dead(b)), None)
-    for b in bfs_order:
-        if b == dead_block and b != init_block:
-            names[b] = "zbot"
-        else:
-            names[b] = f"z{counter}"
-            counter += 1
-
-    states = tuple(names[b] for b in bfs_order)
-    step = {
-        (names[b], a): names[rep_delta[(b, class_of[a])]]
-        for b in bfs_order
-        for a in alphabet.symbols
-    }
+    dead_rep = next((i for i in reps if dead(i)), None)
+    numbers = iter(range(1, n + 1))
+    names = {block[i]: "zbot" if i == dead_rep and i != 0 else f"z{next(numbers)}" for i in reps}
     return Dfa(
-        states=states,
-        initial=names[init_block],
-        accepting=frozenset(names[b] for b in bfs_order if b in block_accepting),
-        step=step,
+        states=tuple(names[block[i]] for i in reps),
+        initial=names[block[0]],
+        accepting=frozenset(names[block[i]] for i in reps if i in accepting),
+        step={
+            (names[block[i]], a): names[block[delta[(i, class_of[a])]]]
+            for i in reps
+            for a in alphabet.symbols
+        },
         alphabet=alphabet,
-        sink=names[dead_block] if dead_block is not None else None,
+        sink=None if dead_rep is None else names[block[dead_rep]],
     )
 
 
@@ -778,43 +711,30 @@ def language_shape(dfa: Dfa) -> str:
     PointBased: every accepted word has length 1 (the empty language
     qualifies vacuously). EndpointBased: membership depends only on the
     first symbol, the last symbol and whether the length is 1; decided
-    per symbol pair by checking that all reachable mid-states give the
-    same acceptance. A language containing the empty word has no
-    endpoints to depend on and is classified General.
+    per state after the first symbol by checking that every reachable
+    mid-state gives the same acceptance on each last symbol. A language
+    containing the empty word has no endpoints to depend on and is
+    classified General.
     """
-    acc = dfa.accepting
+    acc, letters, step = dfa.accepting, dfa.alphabet.symbols, dfa.step
 
-    # Accepting states at word lengths 0, 1 and >= 2.
-    len1 = {dfa.step[(dfa.initial, a)] for a in dfa.alphabet.symbols}
-    reach2: Set[str] = set()
-    frontier = set(len1)
-    while frontier:
-        nxt = {
-            dfa.step[(s, a)]
-            for s in frontier
-            for a in dfa.alphabet.symbols
-        }
-        frontier = nxt - reach2
-        reach2 |= frontier
-
-    eps_accepted = dfa.initial in acc
-    long_accepted = bool(reach2 & acc)
-    if not eps_accepted and not long_accepted:
-        return LanguageShape.POINT_BASED
-    if eps_accepted:
-        return LanguageShape.GENERAL
-
-    for a in dfa.alphabet.symbols:
-        after_first = dfa.step[(dfa.initial, a)]
-        mids = {after_first}
-        frontier = {after_first}
+    def reach(states: Set[str]) -> Set[str]:
+        """The given states and every state reachable from them."""
+        seen = frontier = set(states)
         while frontier:
-            nxt = {dfa.step[(s, b)] for s in frontier for b in dfa.alphabet.symbols}
-            frontier = nxt - mids
-            mids |= frontier
-        for b in dfa.alphabet.symbols:
-            verdicts = {dfa.step[(m, b)] in acc for m in mids}
-            if len(verdicts) > 1:
+            frontier = {step[(s, a)] for s in frontier for a in letters} - seen
+            seen |= frontier
+        return seen
+
+    if dfa.initial in acc:
+        return LanguageShape.GENERAL
+    after_one = {step[(dfa.initial, a)] for a in letters}
+    if not reach({step[(s, a)] for s in after_one for a in letters}) & acc:
+        return LanguageShape.POINT_BASED
+    for first in after_one:
+        mids = reach({first})
+        for b in letters:
+            if len({step[(m, b)] in acc for m in mids}) > 1:
                 return LanguageShape.GENERAL
     return LanguageShape.ENDPOINT_BASED
 
@@ -823,9 +743,8 @@ def language_shape(dfa: Dfa) -> str:
 # DOT export
 
 
-def dfa_to_dot(dfa: Dfa, display: Optional[Callable[[Symbol], str]] = None) -> str:
+def dfa_to_dot(dfa: Dfa) -> str:
     """Render the automaton in DOT; accepting states doubled, sink dashed."""
-    disp = display or (lambda s: s)
     lines = ["digraph dfa {", "  rankdir=LR;", '  __init [shape=point, label=""];']
     for state in dfa.states:
         attrs = ["shape=doublecircle" if state in dfa.accepting else "shape=circle"]
@@ -836,7 +755,7 @@ def dfa_to_dot(dfa: Dfa, display: Optional[Callable[[Symbol], str]] = None) -> s
     for src in dfa.states:
         grouped: Dict[str, List[str]] = {}
         for symbol in dfa.alphabet.symbols:
-            grouped.setdefault(dfa.step[(src, symbol)], []).append(disp(symbol))
+            grouped.setdefault(dfa.step[(src, symbol)], []).append(symbol)
         for dst in sorted(grouped):
             label = ",".join(grouped[dst])
             lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')

@@ -438,3 +438,16 @@ class TestDeepRegexes:
         code, out, err = run(capsys, "check", IS_EX, formula, "--logic", "re")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "nested deeper than" in err
+
+    @pytest.mark.parametrize("outer, inner", [(100, 100), (50, 51), (1, MAX_FORMULA_DEPTH)])
+    def test_atom_parentheses_count_toward_formula_depth(self, capsys, outer, inner):
+        formula = "(" * outer + "{" + "(" * inner + "p" + ")" * inner + "}" + ")" * outer
+        code, out, err = run(capsys, "check", IS_EX, formula, "--logic", "re")
+        assert code == 2 and out == ""
+        assert err == f"error: formula: nested deeper than {MAX_FORMULA_DEPTH} levels " \
+                      f"(at position {outer})\n"
+
+    def test_atom_parentheses_within_formula_depth(self, capsys, point_file):
+        formula = "(" * 50 + "{" + "(" * 50 + "p" + ")" * 50 + "}" + ")" * 50
+        code, out, err = run(capsys, "check", point_file, formula, "--logic", "re")
+        assert code == 0 and "verdict: holds" in out and err == ""

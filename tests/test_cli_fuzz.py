@@ -1,14 +1,19 @@
 """Generated command lines through `main`: whatever the input, the run
 ends with a status of 0, 1, 2 or 3 and nothing escapes; status 2 writes
-exactly one `error:` line and every other status none."""
+exactly one `error:` line and every other status none. Where the oracle
+is exact (B/D/E formulas), a verdict must also be the oracle's."""
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehsmc.cli import main
+from ehsmc.cli import _build_parser, main
+from ehsmc.formulas import Fragment, fragment_of, parse_plus, parse_re
+from ehsmc.oracle import minimal_anchor, oracle_check
+from ehsmc.systems import Interval, load_system
 
 from conftest import POINT_SYS_TEXT, data_path
 
@@ -44,15 +49,15 @@ def root(tmp_path_factory):
     return root
 
 
-def extend(inner):
+def extend(inner, relations=RELATIONS, agents=AGENTS):
     return st.one_of(
         st.builds("!{}".format, inner),
         st.builds("({} {} {})".format, inner, st.sampled_from(["&", "|", "->"]), inner),
-        st.builds("{}{}{} {}".format, st.sampled_from("<["), st.sampled_from(RELATIONS),
+        st.builds("{}{}{} {}".format, st.sampled_from("<["), st.sampled_from(relations),
                   st.sampled_from(">]"), inner),
-        st.builds("K{{{}}} {}".format, st.sampled_from(AGENTS), inner),
+        st.builds("K{{{}}} {}".format, st.sampled_from(agents), inner),
         st.builds("C{{{}}} {}".format,
-                  st.lists(st.sampled_from(AGENTS), min_size=1, max_size=2).map(",".join),
+                  st.lists(st.sampled_from(agents), min_size=1, max_size=2).map(",".join),
                   inner),
     )
 
@@ -100,6 +105,26 @@ def command_lines(draw, systems):
     return argv
 
 
+@st.composite
+def bde_check_lines(draw, point):
+    """`check` and `oracle` lines with a B/D/E modality over a formula on
+    the system's own names, at intervals of one to four configurations."""
+    system, agents, variables, intervals, logics = draw(st.sampled_from([
+        (IS_EX, ["0", "1", "Env", "Proc"], ["p"],
+         ["g1", "g2,g3", "g1,g2,g3", "g2 g3 g1", "g1,g2,g1,g2"], ["plus"]),
+        (point, ["0", "P"], ["p", "q"], ["h", "n,h", "h,n,h", "n,h,n,h"], ["plus", "re"]),
+    ]))
+    formula = draw(st.sampled_from(["<B>", "<D>", "<E>", "[B]", "[D]", "[E]"])) + " " + draw(
+        st.recursive(st.sampled_from(["pi", "true", "false", *variables]),
+                     lambda inner: extend(inner, ["B", "D", "E"], agents), max_leaves=4))
+    argv = [draw(st.sampled_from(["check", "oracle"])), system, formula,
+            "--interval", draw(st.sampled_from(intervals)),
+            "--logic", draw(st.sampled_from(logics))]
+    if argv[0] == "check":
+        argv += draw(st.sampled_from([[], ["--engine", "bde"], ["--engine", "oracle"]]))
+    return argv
+
+
 def check_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,11 +137,47 @@ def check_main(argv):
     return code
 
 
+def exact_status(argv):
+    """The status the oracle gives a `check` or `oracle` line whose formula
+    is in the B/D/E fragment, at the minimal anchoring with the bound equal
+    to the anchored length. That bound is exact: no B/D/E subinterval
+    reaches outside the interval (acceptance criterion 3). None for any
+    other line."""
+    args = _build_parser().parse_args(argv)
+    if args.command not in ("check", "oracle") or args.all_initial:
+        return None
+    system = load_system(args.system)
+    f = (parse_re if args.logic == "re" else parse_plus)(args.formula)
+    if fragment_of(f) != Fragment.BDE:
+        return None
+    names = [name for name in re.split(r"[,\s]+", args.interval or "") if name]
+    interval = Interval(tuple(map(system.config_by_name, names)) or (system.initial,))
+    anchored = minimal_anchor(system, interval)
+    return 0 if oracle_check(system, anchored, f, anchored.total_length) else 1
+
+
 def test_generated_formulas_and_options(root):
+    compared = []
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(argv=command_lines([IS_EX, str(root / "point.isrl")]))
     def run(argv):
-        check_main(argv)
+        code = check_main(argv)
+        if code in (0, 1) and (want := exact_status(argv)) is not None:
+            assert code == want, argv
+            compared.append(argv)
+
+    run()
+    assert len(compared) >= 10, compared
+
+
+def test_generated_bde_lines_match_the_oracle(root):
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(argv=bde_check_lines(str(root / "point.isrl")))
+    def run(argv):
+        code = check_main(argv)
+        if code != 2:  # a malformed modality such as "<B]"
+            assert code == exact_status(argv), argv
 
     run()
 

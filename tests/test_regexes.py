@@ -96,6 +96,31 @@ class TestParsing:
         got = parse_regex("p ; !p ; T", predicate_mode=True)
         assert got == Concat(Sym("p"), Concat(Sym("!p"), Sym("T")))
 
+    @pytest.mark.parametrize("text, predicate_mode, expected", [
+        # whitespace inside a tuple symbol is dropped
+        ("( a , b )", False, Sym("(a,b)")),
+        ("(a,\tb,\u3000c)*", False, Star(Sym("(a,b,c)"))),
+        # one name, a trailing comma or a part that is not one name: grouping
+        ("(a)", False, Sym("a")),
+        ("(a,)", False, "unexpected character ',' (at position 2)"),
+        ("(a, b c)", False, "unexpected character ',' (at position 2)"),
+        # "!" glued to a name is part of the symbol in predicate mode only
+        ("!p T", True, Concat(Sym("!p"), Sym("T"))),
+        ("!p", False, "unexpected character '!' (at position 0)"),
+        ("p ! q", True, "dangling '!' (at position 2)"),
+        ("p !", True, "dangling '!' (at position 2)"),
+        ("a\u00a0# b", False, "unexpected character '#' (at position 2)"),
+        ("a \u00e9", True, "unexpected character '\u00e9' (at position 2)"),
+        ("eps empty", False, Concat(EPSILON, EMPTY)),
+    ])
+    def test_token_table(self, text, predicate_mode, expected):
+        if isinstance(expected, str):
+            with pytest.raises(RegexSyntaxError) as exc:
+                parse_regex(text, predicate_mode=predicate_mode)
+            assert str(exc.value) == expected
+        else:
+            assert parse_regex(text, predicate_mode=predicate_mode) == expected
+
 
 # --- denotes ---------------------------------------------------------------
 
@@ -357,6 +382,32 @@ def test_letter_classes_agree_with_denotes(expr, extra):
     assert set(d.step) == {(q, a) for q in d.states for a in alpha.symbols}
     for word in all_words(alpha.symbols, 3):
         assert accepts(d, word) == denotes(expr, word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    expr=st.one_of(regex_strategy(("a", "b", "c")), union_chain_strategy(("a", "b", "c"))),
+    extra=st.integers(min_value=0, max_value=2),
+)
+def test_states_named_breadth_first(expr, extra):
+    # Re-derived from the finished table: a breadth-first search over the
+    # letters in alphabet order meets the states in the order of `states`.
+    alpha = Alphabet(("a", "b", "c", "d", "e")[: 3 + extra])
+    d = compile_regex(expr, alpha)
+    order = [d.initial]
+    for q in order:
+        for a in alpha.symbols:
+            if d.step[(q, a)] not in order:
+                order.append(d.step[(q, a)])
+    assert tuple(order) == d.states
+    numbered = [q for q in d.states if q != "zbot"]
+    assert numbered == [f"z{i}" for i in range(1, len(numbered) + 1)]
+    dead = [q for q in d.states
+            if q not in d.accepting and all(d.step[(q, a)] == q for a in alpha.symbols)]
+    assert d.sink == (dead[0] if dead else None)
+    # zbot names exactly a dead state that is not initial
+    assert ("zbot" in d.states) == (d.sink not in (None, d.initial))
+    assert d.sink in (None, "z1", "zbot")
 
 
 class TestLargeAlphabets:
