@@ -56,6 +56,7 @@ from .systems import (
     common_class,
     config_str,
     epi_class,
+    forward_frame,
     validate_interval,
 )
 
@@ -161,72 +162,61 @@ def _boolean_satisfier(
     return names, sat
 
 
+_State = Tuple[GlobalConfig, Tuple[str, ...], bool]
+
+
 def regular_witness_search(
     sys: InterpretedSystem,
+    interval: Interval,
+    relation: Relation,
     operand: Formula,
-    starts_at: Optional[GlobalConfig] = None,
-    extends: Optional[Interval] = None,
 ) -> Optional[Interval]:
-    """Shortest interval satisfying a modal-free operand, either among
-    the intervals beginning at a configuration or among the proper
-    forward extensions of a given interval; None when no such interval
+    """Shortest interval that A, Bbar or N relates to the given one and
+    that satisfies a modal-free operand; None when no such interval
     exists at any length.
 
     Complete: a modal-free verdict depends only on the per-variable
     automaton states after the interval's word and on pointhood, so
     breadth-first search over (configuration, automaton states, point
-    flag) covers every case in finitely many steps.
+    flag), from every start of the forward frame at once, covers every
+    case in finitely many steps.
     """
-    if (starts_at is None) == (extends is None):
-        raise ValueError("give exactly one of starts_at and extends")
     names, sat = _boolean_satisfier(sys, operand)
     dfas = [sys.dfa_for(name) for name in names]
-
-    State = Tuple[GlobalConfig, Tuple[str, ...], bool]
+    prefix, starts = forward_frame(sys, interval.configs, relation)
 
     def advance(states: Tuple[str, ...], g: GlobalConfig) -> Tuple[str, ...]:
         sym = config_str(g)
         return tuple(dfa.step[(s, sym)] for dfa, s in zip(dfas, states))
 
-    def accepting(states: Tuple[str, ...]) -> Tuple[bool, ...]:
-        return tuple(s in dfa.accepting for dfa, s in zip(dfas, states))
-
     states = tuple(d.initial for d in dfas)
-    if starts_at is not None:
-        base: Tuple[GlobalConfig, ...] = (starts_at,)
-        states = advance(states, starts_at)
-        if sat(accepting(states), True):
-            return Interval(base)
-    else:
-        base = extends.configs
-        for g in base:
-            states = advance(states, g)
+    for g in prefix:
+        states = advance(states, g)
 
-    # extensions never form points, so pointhood drops out of the state
-    parents: Dict[State, Tuple[Optional[State], GlobalConfig]] = {}
+    parents: Dict[_State, Optional[_State]] = {}
     queue: deque = deque()
-    for succ in sys.successors(base[-1]):
-        first: State = (succ, advance(states, succ), False)
-        if first not in parents:
-            parents[first] = (None, succ)
-            queue.append(first)
+
+    def push(state: _State, parent: Optional[_State]) -> None:
+        if state not in parents:
+            parents[state] = parent
+            queue.append(state)
+
+    # only a one-configuration path after an empty prefix is a point
+    for g in starts:
+        push((g, advance(states, g), not prefix), None)
     while queue:
         state = queue.popleft()
-        cfg, st, _ = state
-        if sat(accepting(st), False):
-            suffix: List[GlobalConfig] = []
-            cursor: Optional[State] = state
+        cfg, st, point = state
+        if sat(tuple(s in dfa.accepting for dfa, s in zip(dfas, st)), point):
+            path: List[GlobalConfig] = []
+            cursor: Optional[_State] = state
             while cursor is not None:
-                prev, step_cfg = parents[cursor]
-                suffix.append(step_cfg)
-                cursor = prev
-            suffix.reverse()
-            return Interval(base + tuple(suffix))
+                path.append(cursor[0])
+                cursor = parents[cursor]
+            path.reverse()
+            return Interval(prefix + tuple(path))
         for succ in sys.successors(cfg):
-            nxt: State = (succ, advance(st, succ), False)
-            if nxt not in parents:
-                parents[nxt] = (state, succ)
-                queue.append(nxt)
+            push((succ, advance(st, succ), False), state)
     return None
 
 
@@ -290,14 +280,6 @@ def _count_paths(
     return min(total, ceiling + 1)
 
 
-def _search_is_complete(
-    sys: InterpretedSystem, starts: Sequence[GlobalConfig], budget: int
-) -> bool:
-    """True when paths from starts of length <= budget are all paths
-    there are (acyclic region exhausted below the budget)."""
-    return budget > len(sys.reachable) and not _cycle_reachable(sys, starts)
-
-
 # ---------------------------------------------------------------------------
 # The checker
 
@@ -337,27 +319,13 @@ def check_abln(
     def temporal(node: Diamond, cfgs: Tuple[GlobalConfig, ...], holds: Holds) -> bool:
         operand = node.sub
         free, cap, sufficient = operand_info(operand)
-        last = cfgs[-1]
+        here = Interval(cfgs)
         if free:
-            if node.relation is Relation.A:
-                return regular_witness_search(sys, operand, starts_at=last) is not None
-            if node.relation is Relation.N:
-                return any(
-                    regular_witness_search(sys, operand, starts_at=s) is not None
-                    for s in sys.successors(last)
-                )
-            return (
-                regular_witness_search(sys, operand, extends=Interval(cfgs))
-                is not None
-            )
+            return regular_witness_search(sys, here, node.relation, operand) is not None
         max_len = len(cfgs) + cap
-        if node.relation is Relation.A:
-            starts: Sequence[GlobalConfig] = (last,)
-        else:
-            starts = sys.successors(last)
+        prefix, starts = forward_frame(sys, cfgs, node.relation)
         if mode.kind != "user":
-            guarded = max_len if node.relation is not Relation.BBAR else cap
-            estimate = _count_paths(sys, starts, guarded, frontier_ceiling)
+            estimate = _count_paths(sys, starts, max_len - len(prefix), frontier_ceiling)
             if estimate > frontier_ceiling:
                 raise BoundInfeasibleError(
                     f"<{node.relation.value}> {format_formula(operand)}: enumeration "
@@ -367,9 +335,10 @@ def check_abln(
                     estimate,
                     frontier_ceiling,
                 )
-        if not sufficient and not _search_is_complete(sys, starts, cap):
+        # with no reachable cycle, a cap above the reachable count covers every path
+        if not sufficient and (cap <= len(sys.reachable) or _cycle_reachable(sys, starts)):
             insufficient.append(cap)
-        for candidate in allen_successors(sys, Interval(cfgs), node.relation, max_len):
+        for candidate in allen_successors(sys, here, node.relation, max_len):
             if holds(operand, candidate.configs):
                 return True
         return False

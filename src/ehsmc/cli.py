@@ -23,6 +23,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from .abln import (
+    DEFAULT_FRONTIER_CEILING,
     LITERAL_BOUND,
     TIGHT_BOUND,
     BoundInfeasibleError,
@@ -108,7 +109,7 @@ def _interval(system, text: Optional[str]) -> Interval:
 
 def _bound_display(n: int) -> str:
     if n >= _DISPLAY_CAP:
-        return f">= 1e300"
+        return ">= 1e300"
     if n < 10**6:
         return str(n)
     return f"{float(n):.6e}"
@@ -125,7 +126,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 # ---------------------------------------------------------------------------
 # check / oracle
 
-def _pick_engine(f: Formula, engine: str, logic: str) -> str:
+def _pick_engine(f: Formula, engine: str) -> str:
     if engine != "auto":
         return engine
     fragment = fragment_of(f)
@@ -164,7 +165,7 @@ def cmd_check(args) -> int:
             raise InputError(
                 f"{e}; regex atoms over a general labelling need --engine oracle"
             ) from None
-    engine = _pick_engine(f, engine, args.logic)
+    engine = _pick_engine(f, engine)
 
     started = time.perf_counter()
     bound_text = "exact"
@@ -370,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check [A] FORMULA at the initial point interval",
     )
     check.add_argument(
-        "--frontier-ceiling", type=int, default=10**7,
+        "--frontier-ceiling", type=int, default=DEFAULT_FRONTIER_CEILING,
         help="feasibility guard ceiling for computed bound modes",
     )
     check.set_defaults(fn=cmd_check)
@@ -380,9 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--interval")
     oracle.add_argument("--bound", type=int)
     oracle.add_argument("--all-initial", action="store_true")
-    oracle.set_defaults(
-        fn=cmd_check, engine="oracle", mode=None, frontier_ceiling=10**7
-    )
+    oracle.set_defaults(fn=cmd_check, engine="oracle", mode=None)
 
     reduce_p = sub.add_parser("reduce", help="translate between surface logics")
     reduce_p.add_argument("system")

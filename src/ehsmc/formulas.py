@@ -603,10 +603,6 @@ def modal_depth(f: Formula) -> int:
     return formula_depth(f, _MODAL)
 
 
-def ast_size(f: Formula) -> int:
-    return sum(1 for _ in subformulas(f))
-
-
 def variables_of(f: Formula) -> Set[str]:
     """Variables named by the formula; for regex atoms, the variables
     appearing in letter predicates (`T` names none)."""

@@ -414,31 +414,63 @@ def _mk_concat(left: RegexExpr, right: RegexExpr) -> RegexExpr:
     return Concat(left, right)
 
 
+def _same(left: RegexExpr, right: RegexExpr) -> bool:
+    """Structural equality; `==` on nodes recurses once per chain item."""
+    stack = [(left, right)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Concat or kind is Union:
+            stack += ((a.right, b.right), (a.left, b.left))
+        elif kind is Star:
+            stack.append((a.inner, b.inner))
+        elif kind is Sym and a.symbol != b.symbol:
+            return False
+    return True
+
+
 def _mk_union(left: RegexExpr, right: RegexExpr) -> RegexExpr:
     if isinstance(left, Empty):
         return right
     if isinstance(right, Empty):
         return left
-    if left == right:
+    if _same(left, right):
         return left
     return Union(left, right)
 
 
 def _derive(e: RegexExpr, letter: object, match: Callable[[Symbol, object], bool]) -> RegexExpr:
-    if isinstance(e, (Empty, Epsilon)):
-        return EMPTY
-    if isinstance(e, Sym):
-        return EPSILON if match(e.symbol, letter) else EMPTY
-    if isinstance(e, Union):
-        return _mk_union(_derive(e.left, letter, match), _derive(e.right, letter, match))
-    if isinstance(e, Concat):
-        head = _mk_concat(_derive(e.left, letter, match), e.right)
-        if _nullable(e.left):
-            return _mk_union(head, _derive(e.right, letter, match))
-        return head
-    if isinstance(e, Star):
-        return _mk_concat(_derive(e.inner, letter, match), e)
-    raise TypeError(f"not a regex node: {e!r}")
+    """The derivative by one letter. Right operands of unions, and of
+    concatenations whose left operand is nullable, are followed in a
+    loop, each adding one union term, so a long chain costs no recursion."""
+    terms: List[RegexExpr] = []
+    while True:
+        kind = type(e)  # node classes are final: `is` beats isinstance
+        if kind is Union:
+            terms.append(_derive(e.left, letter, match))
+        elif kind is Concat:
+            terms.append(_mk_concat(_derive(e.left, letter, match), e.right))
+            if not _nullable(e.left):
+                break
+        else:
+            if kind is Sym:
+                terms.append(EPSILON if match(e.symbol, letter) else EMPTY)
+            elif kind is Star:
+                terms.append(_mk_concat(_derive(e.inner, letter, match), e))
+            elif kind is Empty or kind is Epsilon:
+                terms.append(EMPTY)
+            else:
+                raise TypeError(f"not a regex node: {e!r}")
+            break
+        e = e.right
+    out = terms.pop()
+    while terms:
+        out = _mk_union(terms.pop(), out)
+    return out
 
 
 def denotes(
@@ -483,9 +515,9 @@ class Dfa:
     sink: Optional[str] = None
 
 
-def run(dfa: Dfa, word: Sequence[Symbol], start: Optional[str] = None) -> str:
-    """State reached from `start` (default: initial) after reading the word."""
-    state = dfa.initial if start is None else start
+def run(dfa: Dfa, word: Sequence[Symbol]) -> str:
+    """State reached from the initial state after reading the word."""
+    state = dfa.initial
     for symbol in word:
         state = dfa.step[(state, symbol)]
     return state
@@ -598,7 +630,7 @@ def _closure(nfa: _Nfa, states: Iterable[int]) -> FrozenSet[int]:
     return frozenset(seen)
 
 
-def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
+def compile_regex(expr: RegexExpr, alphabet: Alphabet) -> Dfa:
     """Compile to the complete minimal DFA for the expression.
 
     Pipeline: Thompson construction with symbol-set edges, a partition
@@ -606,20 +638,11 @@ def compile_regex(expr: RegexExpr, alphabet: Optional[Alphabet] = None) -> Dfa:
     edges behave alike everywhere downstream), epsilon-closure subset
     construction and partition refinement over the classes, and finally
     expansion of the transition table to every letter. The empty subset
-    acts as the dead state, so the result is complete. When `alphabet`
-    is not given it is inferred from the symbols of the expression.
+    acts as the dead state, so the result is complete.
     """
-    if alphabet is None:
-        syms = symbols_of(expr)
-        if not syms:
-            raise ValueError(
-                "cannot infer an alphabet from a symbol-free expression; pass one explicitly"
-            )
-        alphabet = Alphabet(tuple(syms))
-    else:
-        stray = symbols_of(expr) - set(alphabet.symbols)
-        if stray:
-            raise ValueError(f"expression symbols outside the alphabet: {sorted(stray)}")
+    stray = symbols_of(expr) - set(alphabet.symbols)
+    if stray:
+        raise ValueError(f"expression symbols outside the alphabet: {sorted(stray)}")
 
     nfa = _Nfa()
     start, accept = _thompson(expr, nfa)

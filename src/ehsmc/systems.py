@@ -270,18 +270,31 @@ def validate_interval(sys: InterpretedSystem, interval: Interval) -> None:
 
 
 def _paths_from(
-    sys: InterpretedSystem, starts: Iterable[GlobalConfig], max_len: int
+    sys: InterpretedSystem, starts: Sequence[GlobalConfig], max_len: int
 ) -> Iterator[Tuple[GlobalConfig, ...]]:
-    layer: List[Tuple[GlobalConfig, ...]] = [(g,) for g in sorted(set(starts))]
-    length = 1
-    while layer and length <= max_len:
-        for path in layer:
-            yield path
-        length += 1
-        layer = [
-            path + (nxt,) for path in layer for nxt in sys.successors(path[-1])
-        ]
-        layer.sort()
+    # starts and successor tuples are sorted, so every layer is too
+    layer: List[Tuple[GlobalConfig, ...]] = [(g,) for g in starts]
+    while layer and max_len > 0:
+        yield from layer
+        max_len -= 1
+        layer = [path + (nxt,) for path in layer for nxt in sys.successors(path[-1])]
+
+
+def forward_frame(
+    sys: InterpretedSystem, configs: Tuple[GlobalConfig, ...], relation: Relation
+) -> Tuple[Tuple[GlobalConfig, ...], Tuple[GlobalConfig, ...]]:
+    """(prefix, starts): A, Bbar and N relate `configs` to exactly the
+    intervals `prefix + path`, for every path beginning in `starts` (sorted
+    and distinct): the last configuration (A) or its successors (N), after
+    an empty prefix, or its successors after the interval itself (Bbar)."""
+    last = configs[-1]
+    if relation == Relation.A:
+        return (), (last,)
+    if relation == Relation.N:
+        return (), sys.successors(last)
+    if relation == Relation.BBAR:
+        return configs, sys.successors(last)
+    raise ValueError(f"relation {Relation(relation).value} has no forward frame")
 
 
 def allen_successors(
@@ -324,17 +337,10 @@ def allen_successors(
                 if c not in seen:
                     seen.add(c)
                     yield Interval(tuple(c))
-    elif relation == Relation.A:
-        for path in _paths_from(sys, [cfgs[-1]], max_len):
-            yield Interval(path)
-    elif relation == Relation.N:
-        for path in _paths_from(sys, sys.successors(cfgs[-1]), max_len):
-            yield Interval(path)
-    elif relation == Relation.BBAR:
-        budget = max_len - n
-        if budget >= 1:
-            for ext in _paths_from(sys, sys.successors(cfgs[-1]), budget):
-                yield Interval(cfgs + ext)
+    else:
+        prefix, starts = forward_frame(sys, cfgs, relation)
+        for path in _paths_from(sys, starts, max_len - len(prefix)):
+            yield Interval(prefix + path)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Formulas come in two flavours: `all_formulas` enumerates every formula
 up to an AST size from a fixed kit (used by the exhaustive differential
 suites), and `random_formula` draws one seeded sample (used by
-round-trip and sampling suites). `ring_text` writes a counter ring whose
+round-trip and sampling suites). `intervals_up_to` lists every short
+interval of a system. `ring_text` writes a counter ring whose
 configuration space, and so label alphabet, grows as 3^n.
 """
 
@@ -26,7 +27,7 @@ from ehsmc.formulas import (
     Or,
     Var,
 )
-from ehsmc.systems import Interval, Relation
+from ehsmc.systems import InterpretedSystem, Interval, Relation
 
 UnaryHead = Callable[[Formula], Formula]
 
@@ -121,6 +122,17 @@ def random_formula(
     relation = rng.choice(list(relations))
     shape = Box if sugar and rng.random() < 0.3 else Diamond
     return shape(relation, sub)
+
+
+def intervals_up_to(sys: InterpretedSystem, max_len: int) -> List[Interval]:
+    """Every interval of length <= max_len from a reachable configuration,
+    shortest first, then in reachable and successor order."""
+    out: List[Interval] = []
+    frontier = [(g,) for g in sys.reachable]
+    for _ in range(max_len):
+        out.extend(Interval(p) for p in frontier)
+        frontier = [p + (s,) for p in frontier for s in sys.successors(p[-1])]
+    return out
 
 
 def epi_equiv(left: Interval, right: Interval, agent: int) -> bool:

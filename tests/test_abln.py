@@ -1,5 +1,7 @@
 """Bounded ABLN engine: witness search, verdict regimes, guard, MCTs."""
 
+import random
+
 import pytest
 
 from ehsmc.abln import (
@@ -15,11 +17,13 @@ from ehsmc.abln import (
     user_bound,
 )
 from ehsmc.errors import InputError
-from ehsmc.formulas import FragmentError, fis_bound, parse_plus, tight_bound
+from ehsmc.formulas import Diamond, FragmentError, fis_bound, parse_plus, tight_bound
 from ehsmc.oracle import minimal_anchor, oracle_check
-from ehsmc.systems import Interval, parse_system
+from ehsmc.systems import Interval, Relation, parse_system, validate_interval
 
 from conftest import iv
+from genutil import intervals_up_to
+from test_acceptance import _boolean_holds, _branching_system, _random_boolean
 
 SOLO_TEXT = """\
 agent S
@@ -88,48 +92,40 @@ class TestBoundModes:
 
 class TestWitnessSearch:
     def test_shortest_witness_from_g1(self, is_ex, gs):
-        w = regular_witness_search(is_ex, parse_plus("p"), starts_at=gs["g1"])
+        w = regular_witness_search(is_ex, iv(gs, "g1"), Relation.A, parse_plus("p"))
         assert w == iv(gs, "g1", "g2", "g3")
 
     def test_no_witness_from_g2(self, is_ex, gs):
-        assert regular_witness_search(is_ex, parse_plus("p"), starts_at=gs["g2"]) is None
+        assert regular_witness_search(is_ex, iv(gs, "g2"), Relation.A, parse_plus("p")) is None
 
     def test_point_operand_gives_point(self, is_ex, gs):
-        w = regular_witness_search(is_ex, parse_plus("pi"), starts_at=gs["g2"])
+        w = regular_witness_search(is_ex, iv(gs, "g2"), Relation.A, parse_plus("pi"))
         assert w == iv(gs, "g2")
 
     def test_extension_witness(self, is_ex, gs):
-        w = regular_witness_search(is_ex, parse_plus("p"), extends=iv(gs, "g1"))
+        w = regular_witness_search(is_ex, iv(gs, "g1"), Relation.BBAR, parse_plus("p"))
         assert w == iv(gs, "g1", "g2", "g3")
 
     def test_extension_is_strict(self, is_ex, gs):
         # the interval itself satisfies p, but no proper extension does:
         # the letter g3 may only close a word of L(p), never sit inside one
         base = iv(gs, "g1", "g2", "g3")
-        assert regular_witness_search(is_ex, parse_plus("p"), extends=base) is None
+        assert regular_witness_search(is_ex, base, Relation.BBAR, parse_plus("p")) is None
 
     def test_boolean_operands(self, is_ex, gs):
         w = regular_witness_search(
-            is_ex, parse_plus("!p & !pi"), starts_at=gs["g1"]
+            is_ex, iv(gs, "g1"), Relation.A, parse_plus("!p & !pi")
         )
         assert w is not None and len(w.configs) == 2
-        assert regular_witness_search(is_ex, parse_plus("false"), starts_at=gs["g1"]) is None
-
-    def test_exactly_one_start_constraint(self, is_ex, gs):
-        with pytest.raises(ValueError):
-            regular_witness_search(is_ex, parse_plus("p"))
-        with pytest.raises(ValueError):
-            regular_witness_search(
-                is_ex, parse_plus("p"), starts_at=gs["g1"], extends=iv(gs, "g1")
-            )
+        assert regular_witness_search(is_ex, iv(gs, "g1"), Relation.A, parse_plus("false")) is None
 
     def test_modal_operands_rejected(self, is_ex, gs):
         with pytest.raises(ValueError):
-            regular_witness_search(is_ex, parse_plus("<A> p"), starts_at=gs["g1"])
+            regular_witness_search(is_ex, iv(gs, "g1"), Relation.A, parse_plus("<A> p"))
 
     def test_unknown_variable(self, is_ex, gs):
         with pytest.raises(InputError):
-            regular_witness_search(is_ex, parse_plus("zz"), starts_at=gs["g1"])
+            regular_witness_search(is_ex, iv(gs, "g1"), Relation.A, parse_plus("zz"))
 
     def test_agrees_with_plain_enumeration(self, is_ex, gs):
         # diameter bound for one 4-state DFA: 3 * 4 * 2 + 1 = 25; a short
@@ -138,7 +134,7 @@ class TestWitnessSearch:
         for text in operands:
             f = parse_plus(text)
             for start in is_ex.reachable:
-                got = regular_witness_search(is_ex, f, starts_at=start)
+                got = regular_witness_search(is_ex, Interval((start,)), Relation.A, f)
                 brute = None
                 frontier = [(start,)]
                 for _ in range(12):
@@ -155,6 +151,54 @@ class TestWitnessSearch:
                 assert (got is None) == (brute is None)
                 if got is not None:
                     assert len(got.configs) == len(brute)
+
+
+    @pytest.mark.parametrize("name", ["solo_bare", "chain", "is_ex"])
+    def test_point_rule(self, request, name):
+        # a point is a one-configuration path after an empty prefix: <A> pi
+        # and <N> pi hold exactly when a start exists, <Bbar> pi never holds
+        sys_ = request.getfixturevalue(name)
+        pi = parse_plus("pi")
+        for interval in intervals_up_to(sys_, 3):
+            successors = sys_.successors(interval.last)
+            expected = {
+                Relation.A: Interval((interval.last,)),
+                Relation.N: Interval(successors[:1]) if successors else None,
+                Relation.BBAR: None,
+            }
+            for relation, witness in expected.items():
+                assert regular_witness_search(sys_, interval, relation, pi) == witness
+                verdict = check_abln(sys_, interval, Diamond(relation, pi), LITERAL_BOUND)
+                assert verdict == Verdict(witness is not None)
+
+    def test_next_agrees_with_enumeration(self):
+        # criterion-5-style branching systems and operands, on a stream of
+        # their own: a shortest <N> witness starts at some successor and is
+        # exactly as long as the shortest enumerated one
+        rng = random.Random(5151)
+        found_some = 0
+        for _ in range(200):
+            sys_, _ = _branching_system(rng, {1: 3, 2: 2, 3: 1})
+            operand = _random_boolean(rng, rng.randint(1, 5), sys_.variables)
+            start = rng.choice(sys_.reachable)
+            got = regular_witness_search(sys_, Interval((start,)), Relation.N, operand)
+            diameter = len(sys_.all_configs) * len(sys_.dfa_for("p").states) * 2 + 1
+            shortest = None
+            frontier = [(s,) for s in sys_.successors(start)]
+            for _length in range(diameter):
+                shortest = next(
+                    (p for p in frontier if _boolean_holds(sys_, operand, Interval(p))), None)
+                if shortest is not None or not frontier:
+                    break
+                frontier = [p + (s,) for p in frontier for s in sys_.successors(p[-1])]
+            assert (got is None) == (shortest is None)
+            if got is not None:
+                found_some += 1
+                assert len(got) == len(shortest)
+                assert got.first in sys_.successors(start)
+                validate_interval(sys_, got)
+                assert _boolean_holds(sys_, operand, got)
+        assert 0 < found_some < 200
 
 
 class TestCheckExamples:
@@ -238,6 +282,21 @@ class TestFragmentAndErrors:
             check_abln(solo_bare, Interval((g,)), f, LITERAL_BOUND, frontier_ceiling=3)
         assert e.value.ceiling == 3
         assert e.value.estimate == 4
+
+    def test_guard_counts_paths_after_the_prefix(self, solo_bare):
+        # one self-looping configuration has one path per length: from a
+        # 3-configuration interval, <A> and <N> may reach 3 + cap intervals,
+        # <Bbar> only the cap extensions after the interval itself
+        g = solo_bare.config_by_name("g")
+        here = Interval((g, g, g))
+        ceiling = fis_bound(solo_bare, parse_plus("<A> true")) + 2
+        f = parse_plus("<Bbar> <A> true")
+        assert check_abln(solo_bare, here, f, LITERAL_BOUND, frontier_ceiling=ceiling).holds
+        for text in ("<A> <A> true", "<N> <A> true"):
+            with pytest.raises(BoundInfeasibleError) as e:
+                check_abln(solo_bare, here, parse_plus(text), LITERAL_BOUND,
+                           frontier_ceiling=ceiling)
+            assert e.value.estimate == ceiling + 1
 
     def test_user_bound_is_never_guarded(self, is_ex, gs):
         v = check_abln(is_ex, iv(gs, "g1"), parse_plus("<A> <A> p"), user_bound(3))

@@ -71,23 +71,13 @@ from ehsmc.systems import (
 )
 
 from conftest import POINT_SYS_TEXT, iv
-from genutil import all_formulas, bde_kit, random_formula
+from genutil import all_formulas, bde_kit, intervals_up_to, random_formula
 
 
 def _stamp(number: int, started: float, budget: float, detail: str) -> None:
     elapsed = time.perf_counter() - started
     print(f"criterion {number}: PASS - {detail} ({elapsed:.2f} s)")
     assert elapsed < budget, f"criterion {number} overran {budget} s"
-
-
-def _intervals_up_to(sys: InterpretedSystem, max_len: int):
-    """Every interval of length <= max_len over reachable configurations."""
-    out = []
-    frontier = [(g,) for g in sys.reachable]
-    for _ in range(max_len):
-        out.extend(frontier)
-        frontier = [p + (s,) for p in frontier for s in sys.successors(p[-1])]
-    return [Interval(p) for p in out]
 
 
 def _walk(rng: random.Random, sys: InterpretedSystem, start, steps: int):
@@ -279,7 +269,7 @@ def test_criterion_03_bde_differential_exhaustive(is_ex):
     atoms, heads = bde_kit(("p",))
     formulas = list(all_formulas(5, atoms, heads))
     assert len(formulas) == 6882
-    intervals = _intervals_up_to(is_ex, 4)
+    intervals = intervals_up_to(is_ex, 4)
     assert len(intervals) == 19
     checked = 0
     for interval in intervals:
@@ -342,14 +332,15 @@ def test_criterion_05_witness_search_vs_enumeration():
             start = rng.choice(sys.reachable)
             base = None
             diameter = len(sys.all_configs) * product_states * 2 + 1
-            found = regular_witness_search(sys, operand, starts_at=start)
+            found = regular_witness_search(
+                sys, Interval((start,)), Relation.A, operand)
             frontier = [(start,)]
         else:
             start = rng.choice(sys.reachable)
             base = _walk(rng, sys, start, rng.randint(0, 2))
             diameter = len(sys.all_configs) * product_states * 2 + len(base)
             found = regular_witness_search(
-                sys, operand, extends=Interval(base))
+                sys, Interval(base), Relation.BBAR, operand)
             frontier = [base + (s,) for s in sys.successors(base[-1])]
         shortest = None
         for _length in range(diameter):
@@ -388,7 +379,7 @@ def test_criterion_06_translation_round_trips():
         for var in moved.variables:
             assert language_shape(moved.dfa_for(var)) == LanguageShape.POINT_BASED
         back, f_plus = to_regular_labelling(moved, f_re)
-        for interval in _intervals_up_to(sys, 3):
+        for interval in intervals_up_to(sys, 3):
             anchored = minimal_anchor(sys, interval)
             want = oracle_check(sys, anchored, f, 6)
             assert oracle_check(moved, anchored, f_re, 6) == want
@@ -432,7 +423,7 @@ def test_criterion_06_translation_round_trips():
         lifted, f_plus = to_regular_labelling(sys, f)
         fresh = set(lifted.variables) - set(sys.variables)
         assert all(re.fullmatch(r"q_[0-9a-f]{8}", v) for v in fresh)
-        for interval in _intervals_up_to(sys, 3):
+        for interval in intervals_up_to(sys, 3):
             anchored = minimal_anchor(sys, interval)
             assert (oracle_check(lifted, anchored, f_plus, 6)
                     == oracle_check(sys, anchored, f, 6))

@@ -8,29 +8,14 @@ from ehsmc.bde import check_bde
 from ehsmc.errors import InputError
 from ehsmc.formulas import And, FragmentError, Not, parse_plus
 from ehsmc.oracle import minimal_anchor, oracle_check
-from ehsmc.systems import Interval
 
 from conftest import iv
-from genutil import all_formulas, bde_kit
+from genutil import all_formulas, bde_kit, intervals_up_to
 
 
 def oracle_on(sys, interval, f, extra=0):
     aI = minimal_anchor(sys, interval)
     return oracle_check(sys, aI, f, aI.total_length + extra)
-
-
-def intervals_up_to(sys, max_len):
-    out = []
-    frontier = [(g,) for g in sys.reachable]
-    while frontier:
-        out.extend(Interval(p) for p in frontier)
-        frontier = [
-            p + (s,)
-            for p in frontier
-            if len(p) < max_len
-            for s in sys.successors(p[-1])
-        ]
-    return out
 
 
 class TestFrozenExamples:

@@ -12,6 +12,7 @@ from ehsmc.cli import main
 from ehsmc.formulas import MAX_FORMULA_DEPTH
 
 from conftest import POINT_SYS_TEXT, data_path
+from genutil import ring_text
 
 IS_EX = data_path("is_ex.isrl")
 DATA_DIR = os.path.dirname(IS_EX)
@@ -426,6 +427,21 @@ class TestDeepRegexes:
         code, out, err = run(capsys, "check", path, "q")
         assert code == 0 and "verdict: holds" in out
         assert err == "warning: label q: accepts the empty word, which no interval can match\n"
+
+    def test_oracle_on_long_star_chain_label(self, capsys, tmp_path):
+        # the oracle's derivatives follow the 1,200-item chain in a loop
+        path = with_label(tmp_path, " ".join(["g1*"] * 1200))
+        code, out, err = run(capsys, "oracle", path, "q")
+        assert code == 0 and "verdict: holds" in out
+        assert err == "warning: label q: accepts the empty word, which no interval can match\n"
+
+    def test_oracle_on_large_ring_union(self, capsys, tmp_path):
+        # label `all` is the star of a 2,187-name union
+        path = tmp_path / "ring7.isrl"
+        path.write_text(ring_text(7, [1] * 7))
+        code, out, err = run(capsys, "oracle", str(path), "all")
+        assert code == 0 and "verdict: holds" in out
+        assert err == "warning: label all: accepts the empty word, which no interval can match\n"
 
     def test_reduce_long_word_label(self, capsys, tmp_path):
         path = with_label(tmp_path, " ".join(["g1"] * 1200))

@@ -21,7 +21,6 @@ from ehsmc.formulas import (
     Not,
     Or,
     Var,
-    ast_size,
     eliminate_L,
     expand_N,
     fis_bound,
@@ -36,6 +35,7 @@ from ehsmc.formulas import (
     parse_re,
     relations_of,
     resolve_agents,
+    subformulas,
     tight_bound,
     tight_bound_saturating,
     top_level_subformulas,
@@ -249,7 +249,7 @@ class TestStructure:
         assert modal_free(parse_plus("p & !pi | true"))
         assert modal_depth(f) == 1
         assert modal_depth(parse_plus("<A> K{0} <B> p")) == 3
-        assert ast_size(f) == 6
+        assert sum(1 for _ in subformulas(f)) == 6
 
     def test_variables(self):
         assert variables_of(parse_plus("p & <A> (q | !r)")) == {"p", "q", "r"}

@@ -25,6 +25,7 @@ from ehsmc.reductions import (
 from ehsmc.systems import Interval, parse_system
 
 from conftest import iv
+from genutil import intervals_up_to
 
 TWO_TEXT = """\
 agent M
@@ -125,18 +126,11 @@ class TestToPointBased:
 
     def test_verdicts_preserved_on_short_intervals(self, is_ex):
         texts = ["p", "!p", "K{0} p", "<B> p", "<A> p", "C{0,1} pi & !p"]
-        intervals = []
-        frontier = [(g,) for g in is_ex.reachable]
-        for _ in range(4):
-            intervals.extend(frontier)
-            frontier = [
-                path + (s,) for path in frontier for s in is_ex.successors(path[-1])
-            ]
+        intervals = intervals_up_to(is_ex, 4)
         for text in texts:
             f = parse_plus(text)
             new_sys, new_f = to_point_based(is_ex, f)
-            for cfgs in intervals:
-                interval = Interval(cfgs)
+            for interval in intervals:
                 aI = minimal_anchor(is_ex, interval)
                 bound = aI.total_length + 3
                 assert oracle_check(is_ex, aI, f, bound) == oracle_check(
@@ -178,18 +172,11 @@ class TestToRegularLabelling:
         sys, cfg = point_sys
         texts = ["{p}", "{p T*}", "!{T p}", "<A> {p (q+p)*}", "K{0} {T T}",
                  "{(p) T} | pi"]
-        intervals = []
-        frontier = [(g,) for g in sys.reachable]
-        for _ in range(3):
-            intervals.extend(frontier)
-            frontier = [
-                path + (s,) for path in frontier for s in sys.successors(path[-1])
-            ]
+        intervals = intervals_up_to(sys, 3)
         for text in texts:
             f = parse_re(text)
             new_sys, new_f = to_regular_labelling(sys, f)
-            for cfgs in intervals:
-                interval = Interval(cfgs)
+            for interval in intervals:
                 aI = minimal_anchor(sys, interval)
                 bound = aI.total_length + 4
                 assert oracle_check(sys, aI, f, bound) == oracle_check(

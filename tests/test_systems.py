@@ -34,21 +34,11 @@ from ehsmc.bde import check_bde
 from ehsmc.formulas import PI, parse_plus
 
 from conftest import data_path, iv
-from genutil import epi_equiv, ring_text
+from genutil import epi_equiv, intervals_up_to, ring_text
 
 
 def names(sys_, intervals):
     return sorted("".join(sys_.display(c) for c in i.configs) for i in intervals)
-
-
-def all_intervals(sys_, max_len):
-    """Brute-force enumeration of valid intervals up to a length."""
-    out = []
-    layer = [(g,) for g in sys_.reachable]
-    for _ in range(max_len):
-        out.extend(layer)
-        layer = [p + (n,) for p in layer for n in sys_.successors(p[-1])]
-    return [Interval(p) for p in out]
 
 
 class TestRunningExample:
@@ -140,8 +130,8 @@ class TestAllenSuccessors:
         # Every yielded interval satisfies the defining condition, and
         # every interval satisfying it (within the length cap) is
         # yielded. Brute-forced over all intervals of length <= 4.
-        universe = all_intervals(is_ex, 4)
-        for I in all_intervals(is_ex, 3):
+        universe = intervals_up_to(is_ex, 4)
+        for I in intervals_up_to(is_ex, 3):
             c = I.configs
             expected = {
                 Relation.B: {J for J in universe if len(J) < len(I) and c[: len(J)] == J.configs},
@@ -238,11 +228,11 @@ class TestEpistemic:
         assert names(is_ex, common_class(is_ex, iv(gs, "g1"), {1})) == ["g1"]
 
     def test_singleton_group_equals_class(self, is_ex):
-        for I in all_intervals(is_ex, 2):
+        for I in intervals_up_to(is_ex, 2):
             assert common_class(is_ex, I, {0}) == epi_class(is_ex, I, 0) | {I}
 
     def test_equivalence_relation(self, is_ex):
-        universe = all_intervals(is_ex, 3)
+        universe = intervals_up_to(is_ex, 3)
         for agent in (0, 1):
             for I in universe:
                 members = epi_class(is_ex, I, agent)
@@ -253,7 +243,7 @@ class TestEpistemic:
                     assert epi_class(is_ex, J, agent) == members
 
     def test_common_class_closed(self, is_ex):
-        for I in all_intervals(is_ex, 2):
+        for I in intervals_up_to(is_ex, 2):
             closure = common_class(is_ex, I, {0, 1})
             for member in closure:
                 for agent in (0, 1):
