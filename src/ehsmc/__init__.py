@@ -36,8 +36,8 @@ from .systems import (
     format_system,
     load_system,
     parse_system,
+    system_warnings,
     validate_interval,
-    validate_system,
 )
 from .formulas import (
     Formula,
@@ -113,10 +113,10 @@ __all__ = [
     "parse_system",
     "regex_to_text",
     "regular_witness_search",
+    "system_warnings",
     "tight_bound",
     "to_point_based",
     "to_regular_labelling",
     "user_bound",
     "validate_interval",
-    "validate_system",
 ]

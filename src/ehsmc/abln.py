@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .bde import Holds, evaluate
 from .errors import InputError
@@ -350,18 +350,18 @@ def check_abln(
 # ---------------------------------------------------------------------------
 # Modal context trees
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Mct:
     """Horizon-truncated modal context tree node: interval endpoints,
     pointhood, the automaton state per variable after the interval's
-    word, and one deduplicated subtree set per top-level modal
+    word, and one deduplicated, sorted subtree tuple per top-level modal
     subformula."""
 
     first: str
     last: str
     point: bool
     states: Tuple[Tuple[str, str], ...]
-    children: Tuple[Tuple[str, FrozenSet["Mct"]], ...]
+    children: Tuple[Tuple[str, Tuple["Mct", ...]], ...]
 
 
 def compute_mct(
@@ -391,15 +391,15 @@ def compute_mct(
         states = tuple(
             (var, run(sys.dfa_for(var), word)) for var in sorted(sys.variables)
         )
-        children: List[Tuple[str, FrozenSet[Mct]]] = []
+        children: List[Tuple[str, Tuple[Mct, ...]]] = []
         # (display key, modal node) per top-level subformula
         edges = sorted(((f"{head_text(modal)} {format_formula(modal.sub)}", modal)
                         for modal in top_level_subformulas(node)),
                        key=lambda edge: edge[0])
         for key, modal in edges:
-            subtrees = frozenset(
+            subtrees = tuple(sorted({
                 build(modal.sub, member.configs) for member in related(modal, cfgs)
-            )
+            }))
             children.append((key, subtrees))
         return Mct(
             first=sys.display(cfgs[0]),
@@ -427,9 +427,7 @@ def mct_to_dot(tree: Mct) -> str:
         )
         lines.append(f'  {name} [label="{label}"];')
         for key, subtrees in node.children:
-            for sub in sorted(
-                subtrees, key=lambda t: (t.first, t.last, t.point, t.states)
-            ):
+            for sub in subtrees:
                 child = emit(sub)
                 lines.append(f'  {name} -> {child} [label="{key}"];')
         return name

@@ -58,9 +58,9 @@ from .systems import (
     load_system,
     parse_system,
     read_input,
+    system_warnings,
     tg_to_dot,
     validate_interval,
-    validate_system,
 )
 
 EXIT_HOLDS = 0
@@ -72,13 +72,9 @@ _DISPLAY_CAP = 10**300
 
 
 def _load(path: str):
-    """Load and validate a system: a violation is an input error, and
-    warnings go to stderr."""
+    """Load a system; its warnings go to stderr."""
     system = load_system(path)
-    report = validate_system(system)
-    if report.violations:
-        raise InputError(f"{path}: {report.violations[0]}")
-    for warning in report.warnings:
+    for warning in system_warnings(system):
         print(f"warning: {warning}", file=_sys.stderr)
     return system
 

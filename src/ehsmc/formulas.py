@@ -582,14 +582,13 @@ _MODAL = (K, C, Diamond, Box)
 _OPERATORS = (Not, And, Or, Implies) + _MODAL
 
 
-def formula_depth(f: Formula, kinds: Tuple[type, ...] = _OPERATORS) -> int:
-    """The most nodes of the given kinds (by default, operators) on one
-    path from the root to a leaf."""
+def formula_depth(f: Formula) -> int:
+    """The most operators on one path from the root to a leaf."""
     deepest = 0
     stack = [(f, 0)]
     while stack:
         node, depth = stack.pop()
-        depth += isinstance(node, kinds)
+        depth += isinstance(node, _OPERATORS)
         deepest = max(deepest, depth)
         stack.extend((k, depth) for k in children(node))
     return deepest
@@ -597,10 +596,6 @@ def formula_depth(f: Formula, kinds: Tuple[type, ...] = _OPERATORS) -> int:
 
 def modal_free(f: Formula) -> bool:
     return not any(isinstance(n, _MODAL) for n in subformulas(f))
-
-
-def modal_depth(f: Formula) -> int:
-    return formula_depth(f, _MODAL)
 
 
 def variables_of(f: Formula) -> Set[str]:

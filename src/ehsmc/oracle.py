@@ -17,7 +17,7 @@ history-free fragments exact even at the smallest legal bound.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
 
 from .errors import InputError
 from .formulas import (
@@ -54,10 +54,10 @@ Anchored = Tuple[Tuple[GlobalConfig, ...], Tuple[GlobalConfig, ...]]
 def _check_anchoring(sys: InterpretedSystem, anchored: AnchoredInterval) -> None:
     path = anchored.history + anchored.interval.configs
     if path[0] != sys.initial:
-        raise ValueError("anchored interval must start at the initial configuration")
+        raise InputError("anchored interval must start at the initial configuration")
     for a, b in zip(path, path[1:]):
         if b not in sys.successors(a):
-            raise ValueError(
+            raise InputError(
                 f"{config_str(a)} -> {config_str(b)} is not a global step"
             )
 
@@ -81,29 +81,15 @@ def _anchors_of(
     sys: InterpretedSystem, start: GlobalConfig, max_hist: int
 ) -> List[Tuple[GlobalConfig, ...]]:
     """Histories h with h ++ (start, ...) a path from the initial
-    configuration and |h| <= max_hist, plus the shortest such history
-    regardless of the cap (there is always at least one for reachable
-    starts)."""
-    out: List[Tuple[GlobalConfig, ...]] = []
-    if start == sys.initial:
-        out.append(())
-    shortest: Optional[Tuple[GlobalConfig, ...]] = () if start == sys.initial else None
-    for path in _paths_from(sys, sys.initial, max(max_hist, 0) + 1):
-        if len(path) >= 2 and path[-1] == start:
-            out.append(path[:-1])
-            if shortest is None:
-                shortest = path[:-1]
-    if shortest is None:
-        # the cap was too small to reach start; take a shortest path anyway
-        limit = len(sys.reachable) + 1
-        for path in _paths_from(sys, sys.initial, limit):
-            if len(path) >= 2 and path[-1] == start:
-                shortest = path[:-1]
-                break
-        if shortest is None:
-            return []
-        out.append(shortest)
-    return out
+    configuration and |h| <= max_hist, shortest first; if the cap admits
+    none, the shortest one regardless of the cap: `minimal_anchor`'s,
+    which also heads the capped list whenever that is not empty."""
+    capped = [
+        path[:-1]
+        for path in _paths_from(sys, sys.initial, max(max_hist, 0) + 1)
+        if path[-1] == start
+    ]
+    return capped or [minimal_anchor(sys, Interval((start,))).history]
 
 
 def oracle_check(
@@ -275,4 +261,4 @@ def minimal_anchor(sys: InterpretedSystem, interval: Interval) -> AnchoredInterv
                         back = parents[back]
                     return AnchoredInterval(tuple(reversed(history)), interval)
         frontier = nxt
-    raise ValueError(f"{config_str(target)} is not reachable")
+    raise InputError(f"{config_str(target)} is not reachable")

@@ -111,7 +111,7 @@ def to_point_based(
     new_labelling: Dict[str, RegexExpr] = {
         fresh[config_str(g)]: Sym(config_str(g)) for g in sys.reachable
     }
-    new_sys = InterpretedSystem(sys.agents, new_labelling, sys.aliases)
+    new_sys = sys.with_labelling(new_labelling)
 
     def inline(node: Formula) -> Formula:
         if isinstance(node, Var):
@@ -163,7 +163,7 @@ def to_regular_labelling(
             raise InputError(f"fresh variable name collision on {name!r}")
         names[key] = name
         new_labelling[name] = lambda_compose(sys, atom.expr)
-    new_sys = InterpretedSystem(sys.agents, new_labelling, sys.aliases)
+    new_sys = sys.with_labelling(new_labelling)
 
     def fold(node: Formula) -> Formula:
         if isinstance(node, Atom):

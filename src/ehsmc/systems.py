@@ -13,7 +13,7 @@ where backward interval relations live.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -118,7 +118,8 @@ class InterpretedSystem:
     The labelling maps each variable to a regular expression over the
     full configuration space (every tuple of local states), encoded as
     canonical strings "(l0,l1,...)". Aliases give configurations
-    friendly display names.
+    friendly display names. A malformed system is rejected with an
+    InputError naming its first violation.
     """
 
     def __init__(
@@ -127,25 +128,17 @@ class InterpretedSystem:
         labelling: Dict[str, RegexExpr],
         aliases: Optional[Dict[str, GlobalConfig]] = None,
     ):
-        if not agents:
-            raise ValueError("at least one agent is required")
         self.agents: Tuple[LocalComponent, ...] = tuple(agents)
-        self.labelling: Dict[str, RegexExpr] = dict(labelling)
-        self.variables: Tuple[str, ...] = tuple(labelling.keys())
         self.aliases: Dict[str, GlobalConfig] = dict(aliases or {})
+        violation = next(_violations(self.agents, self.aliases), None)
+        if violation is not None:
+            raise InputError(violation)
 
         self.initial: GlobalConfig = tuple(a.init for a in self.agents)
-        # Degenerate inputs (an agent with no or duplicate states) still
-        # construct, so validate_system can report them instead of the
-        # constructor raising.
         self.all_configs: Tuple[GlobalConfig, ...] = tuple(
-            sorted(set(itertools.product(*(a.states for a in self.agents))))
+            sorted(itertools.product(*(a.states for a in self.agents)))
         )
-        self.alphabet: Optional[Alphabet] = (
-            Alphabet(tuple(config_str(g) for g in self.all_configs))
-            if self.all_configs
-            else None
-        )
+        self.alphabet = Alphabet(tuple(config_str(g) for g in self.all_configs))
 
         self._display: Dict[GlobalConfig, str] = {}
         for alias, cfg in self.aliases.items():
@@ -154,6 +147,27 @@ class InterpretedSystem:
         self._succ = self._compute_successors()
         self.reachable: Tuple[GlobalConfig, ...] = self._compute_reachable()
         self.reachable_set: FrozenSet[GlobalConfig] = frozenset(self.reachable)
+        self._label(labelling)
+
+    def with_labelling(self, labelling: Dict[str, RegexExpr]) -> InterpretedSystem:
+        """The same system under another labelling; the step relation and
+        the configuration space are shared, not rebuilt."""
+        relabelled = object.__new__(InterpretedSystem)
+        for name in _LABEL_FREE:
+            setattr(relabelled, name, getattr(self, name))
+        relabelled._label(labelling)
+        return relabelled
+
+    def _label(self, labelling: Dict[str, RegexExpr]) -> None:
+        symbols = set(self.alphabet.symbols)
+        for var, expr in labelling.items():
+            stray = symbols_of(expr) - symbols
+            if stray:
+                raise InputError(
+                    f"label {var}: symbols outside the configuration space: {sorted(stray)}"
+                )
+        self.labelling: Dict[str, RegexExpr] = dict(labelling)
+        self.variables: Tuple[str, ...] = tuple(labelling.keys())
         self._dfas: Dict[str, Dfa] = {}
 
     # -- derived tables -----------------------------------------------------
@@ -162,7 +176,6 @@ class InterpretedSystem:
         """Successor table over every configuration. An agent's targets
         depend only on its local state and the joint action, so each such
         pair is matched against the agent's rules once per system."""
-        valid = set(self.all_configs)
         memos: List[Dict[Tuple[str, Tuple[str, ...]], FrozenSet[str]]] = [
             {} for _ in self.agents
         ]
@@ -191,7 +204,7 @@ class InterpretedSystem:
                     moves.append(targets)
                 else:
                     out.update(itertools.product(*moves))
-            return tuple(sorted(c for c in out if c in valid))
+            return tuple(sorted(out))
 
         return {g: successors(g) for g in self.all_configs}
 
@@ -200,7 +213,7 @@ class InterpretedSystem:
         queue = [self.initial]
         while queue:
             g = queue.pop(0)
-            for h in self._succ.get(g, ()):
+            for h in self._succ[g]:
                 if h not in seen:
                     seen.add(h)
                     queue.append(h)
@@ -225,11 +238,56 @@ class InterpretedSystem:
     def dfa_for(self, var: str) -> Dfa:
         if var not in self.labelling:
             raise InputError(f"unknown variable {var!r}")
-        if self.alphabet is None:
-            raise ValueError("system has an empty configuration space")
         if var not in self._dfas:
             self._dfas[var] = compile_regex(self.labelling[var], self.alphabet)
         return self._dfas[var]
+
+
+# What a system's labelling does not affect, in the order the constructor
+# sets it. `with_labelling` copies these one by one: a copy made through
+# __dict__ (copy.copy) reads every attribute about 1.5x slower on CPython 3.11.
+_LABEL_FREE = ("agents", "aliases", "initial", "all_configs", "alphabet",
+               "_display", "_succ", "reachable", "reachable_set")
+
+
+def _violations(
+    agents: Tuple[LocalComponent, ...], aliases: Dict[str, GlobalConfig]
+) -> Iterator[str]:
+    """Every way the agents and aliases break the rules of a system:
+    declared, distinct states; protocols and transitions over declared
+    states and actions; patterns of one action slot per agent; aliases
+    that name configurations."""
+    n = len(agents)
+    if not agents:
+        yield "at least one agent is required"
+    for idx, agent in enumerate(agents):
+        tag = f"agent {agent.name or idx}"
+        if not agent.states:
+            yield f"{tag}: declares no local states"
+        if len(set(agent.states)) != len(agent.states):
+            yield f"{tag}: duplicate local states"
+        if agent.init not in agent.states:
+            yield f"{tag}: init {agent.init!r} not a state"
+        for state, acts in agent.protocol.items():
+            if state not in agent.states:
+                yield f"{tag}: protocol for unknown state {state!r}"
+            for a in acts:
+                if a not in agent.actions:
+                    yield f"{tag}: protocol action {a!r} not declared"
+        for src, pattern, dst in agent.transitions:
+            if src not in agent.states or dst not in agent.states:
+                yield f"{tag}: transition {src!r} -> {dst!r} uses unknown states"
+            if len(pattern) != n:
+                yield f"{tag}: pattern {pattern} has arity {len(pattern)}, expected {n}"
+            else:
+                for j, slot in enumerate(pattern):
+                    if slot != "*" and slot not in agents[j].actions:
+                        yield f"{tag}: pattern slot {j} names unknown action {slot!r}"
+    for alias, cfg in aliases.items():
+        if len(cfg) != n or any(
+            l not in agent.states for l, agent in zip(cfg, agents)
+        ):
+            yield f"config {alias}: {cfg} is not a configuration"
 
 
 def config_str(g: GlobalConfig) -> str:
@@ -386,75 +444,26 @@ def common_class(
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Warnings
 
 
-@dataclass
-class ValidationReport:
-    violations: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_system(sys: InterpretedSystem) -> ValidationReport:
-    report = ValidationReport()
-    n = len(sys.agents)
+def system_warnings(sys: InterpretedSystem) -> List[str]:
+    """What is legal but probably unintended: a state that permits no
+    action, and a label that accepts the empty word."""
+    warnings: List[str] = []
     for idx, agent in enumerate(sys.agents):
-        tag = f"agent {agent.name or idx}"
-        if not agent.states:
-            report.violations.append(f"{tag}: declares no local states")
-        if len(set(agent.states)) != len(agent.states):
-            report.violations.append(f"{tag}: duplicate local states")
-        if agent.init not in agent.states:
-            report.violations.append(f"{tag}: init {agent.init!r} not a state")
-        for state, acts in agent.protocol.items():
-            if state not in agent.states:
-                report.violations.append(f"{tag}: protocol for unknown state {state!r}")
-            for a in acts:
-                if a not in agent.actions:
-                    report.violations.append(
-                        f"{tag}: protocol action {a!r} not declared"
-                    )
         for state in agent.states:
             if not agent.protocol.get(state):
-                report.warnings.append(
-                    f"{tag}: state {state!r} permits no action (joint steps from it deadlock)"
+                warnings.append(
+                    f"agent {agent.name or idx}: state {state!r} permits no action "
+                    "(joint steps from it deadlock)"
                 )
-        for src, pattern, dst in agent.transitions:
-            if src not in agent.states or dst not in agent.states:
-                report.violations.append(
-                    f"{tag}: transition {src!r} -> {dst!r} uses unknown states"
-                )
-            if len(pattern) != n:
-                report.violations.append(
-                    f"{tag}: pattern {pattern} has arity {len(pattern)}, expected {n}"
-                )
-            else:
-                for j, slot in enumerate(pattern):
-                    if slot != "*" and slot not in sys.agents[j].actions:
-                        report.violations.append(
-                            f"{tag}: pattern slot {j} names unknown action {slot!r}"
-                        )
-    for alias, cfg in sys.aliases.items():
-        if len(cfg) != n or any(
-            l not in agent.states for l, agent in zip(cfg, sys.agents)
-        ):
-            report.violations.append(f"config {alias}: {cfg} is not a configuration")
-    valid_syms = set(sys.alphabet.symbols) if sys.alphabet is not None else set()
     for var, expr in sys.labelling.items():
-        stray = symbols_of(expr) - valid_syms
-        if stray:
-            report.violations.append(
-                f"label {var}: symbols outside the configuration space: {sorted(stray)}"
-            )
-        elif denotes(expr, []):
-            report.warnings.append(
+        if denotes(expr, []):
+            warnings.append(
                 f"label {var}: accepts the empty word, which no interval can match"
             )
-    return report
+    return warnings
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +486,11 @@ def parse_system(text: str) -> InterpretedSystem:
     and `label VAR = REGEX`. '#' starts a comment.
     """
     agents: List[dict] = []
-    alias_lines: List[Tuple[str, Tuple[str, ...], int]] = []
+    aliases: Dict[str, GlobalConfig] = {}
     label_lines: List[Tuple[str, str, int]] = []
+    # "agent NAME" / "config ALIAS" -> the line declaring it, so that a
+    # construction violation, which names its subject, gets a line
+    origin: Dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -493,6 +505,7 @@ def parse_system(text: str) -> InterpretedSystem:
                 {"name": rest, "states": (), "init": None, "actions": (),
                  "protocol": {}, "transitions": []}
             )
+            origin[f"agent {rest}"] = lineno
         elif head in ("states", "init", "actions", "protocol", "trans"):
             if not agents:
                 raise SystemParseError(f"{head!r} before any agent block", lineno)
@@ -523,8 +536,9 @@ def parse_system(text: str) -> InterpretedSystem:
             value = value.strip()
             if not eq or not (value.startswith("(") and value.endswith(")")):
                 raise SystemParseError("config needs 'ALIAS = (l0,...,lm)'", lineno)
-            cfg = tuple(s.strip() for s in value[1:-1].split(","))
-            alias_lines.append((name.strip(), cfg, lineno))
+            name = name.strip()
+            aliases[name] = tuple(s.strip() for s in value[1:-1].split(","))
+            origin[f"config {name}"] = lineno
         elif head == "label":
             name, eq, value = rest.partition("=")
             if not eq:
@@ -533,40 +547,25 @@ def parse_system(text: str) -> InterpretedSystem:
         else:
             raise SystemParseError(f"unknown directive {head!r}", lineno)
 
-    if not agents:
-        raise SystemParseError("no agent blocks", 1)
-    components = []
     for a in agents:
         if a["init"] is None:
-            raise SystemParseError(f"agent {a['name']} has no init", 1)
-        components.append(
-            LocalComponent(
-                name=a["name"],
-                states=a["states"],
-                init=a["init"],
-                actions=a["actions"],
-                protocol=a["protocol"],
-                transitions=tuple(a["transitions"]),
-            )
-        )
+            tag = f"agent {a['name']}"
+            raise SystemParseError(f"{tag} has no init", origin[tag])
+        a["transitions"] = tuple(a["transitions"])
 
-    aliases = {name: cfg for name, cfg, _ in alias_lines}
+    try:
+        system = InterpretedSystem([LocalComponent(**a) for a in agents], {}, aliases)
+    except InputError as exc:
+        subject = str(exc).partition(": ")[0]
+        raise SystemParseError(str(exc), origin.get(subject, 1)) from exc
     alias_to_symbol = {name: config_str(cfg) for name, cfg in aliases.items()}
-    configs = tuple(itertools.product(*(c.states for c in components)))
-    if label_lines and not configs:
-        empty = next(c.name for c in components if not c.states)
-        raise SystemParseError(
-            f"cannot parse labels: agent {empty} declares no states",
-            label_lines[0][2],
-        )
-    alphabet = Alphabet(tuple({config_str(c) for c in configs})) if configs else None
     labelling: Dict[str, RegexExpr] = {}
     for var, expr_text, lineno in label_lines:
         try:
-            labelling[var] = parse_regex(expr_text, alphabet, alias_to_symbol)
+            labelling[var] = parse_regex(expr_text, system.alphabet, alias_to_symbol)
         except InputError as exc:
             raise SystemParseError(f"label {var}: {exc}", lineno) from exc
-    return InterpretedSystem(components, labelling, aliases)
+    return system.with_labelling(labelling)
 
 
 def read_input(path: str) -> str:
@@ -580,11 +579,11 @@ def read_input(path: str) -> str:
 
 
 def load_system(path: str) -> InterpretedSystem:
-    """Parse a system file; a parse error names the path."""
+    """Parse a system file; a rejection names the path."""
     text = read_input(path)
     try:
         return parse_system(text)
-    except SystemParseError as e:
+    except InputError as e:
         e.args = (f"{path}: {e}",)
         raise
 

@@ -26,6 +26,7 @@ from ehsmc.formulas import (
     Not,
     Or,
     Var,
+    children,
 )
 from ehsmc.systems import InterpretedSystem, Interval, Relation
 
@@ -122,6 +123,13 @@ def random_formula(
     relation = rng.choice(list(relations))
     shape = Box if sugar and rng.random() < 0.3 else Diamond
     return shape(relation, sub)
+
+
+def modal_depth(f: Formula) -> int:
+    """The most modal operators (K, C, diamonds, boxes) on one path from
+    the root to a leaf."""
+    here = isinstance(f, (K, C, Diamond, Box))
+    return here + max((modal_depth(c) for c in children(f)), default=0)
 
 
 def intervals_up_to(sys: InterpretedSystem, max_len: int) -> List[Interval]:

@@ -43,7 +43,6 @@ from ehsmc.formulas import (
     expand_N,
     fis_bound,
     format_formula,
-    modal_depth,
     parse_plus,
     parse_re,
 )
@@ -71,7 +70,7 @@ from ehsmc.systems import (
 )
 
 from conftest import POINT_SYS_TEXT, iv
-from genutil import all_formulas, bde_kit, intervals_up_to, random_formula
+from genutil import all_formulas, bde_kit, intervals_up_to, modal_depth, random_formula
 
 
 def _stamp(number: int, started: float, budget: float, detail: str) -> None:

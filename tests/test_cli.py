@@ -33,6 +33,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, **env):
+    """`python -m ehsmc.cli ARGV` in a fresh interpreter, with extra
+    environment variables."""
+    src = os.path.dirname(os.path.dirname(ehsmc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ehsmc.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
 class TestCheckExits:
     def test_failing_conjunction_is_exit_1_conclusive(self, capsys):
         code, out, _ = run(capsys, "check", IS_EX, "K{0} pi & !(<A> p)")
@@ -164,13 +176,7 @@ class TestInputErrors:
         assert err == "error: formula: unknown variable 'zz'\n"
 
     def test_entry_point_reports_without_traceback(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(ehsmc.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ehsmc.cli", "check", str(tmp_path), "p"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_process("check", str(tmp_path), "p")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {tmp_path}: ")
@@ -272,6 +278,15 @@ class TestExportDot:
         assert out.count('label="<A> p"') == 6
         assert "(g1, g3, !pi | p:z3)" in out
 
+    def test_mct_export_does_not_depend_on_string_hashing(self):
+        # subtrees that tie on their own label differ below it
+        outputs = {
+            run_process("export-dot", IS_EX, "mct:<N> K{0} p:3",
+                        PYTHONHASHSEED=str(seed)).stdout
+            for seed in range(4, 10)
+        }
+        assert len(outputs) == 1 and outputs.pop().startswith("digraph mct {")
+
     def test_unknown_target(self, capsys):
         code, _, _ = run(capsys, "export-dot", IS_EX, "mystery")
         assert code == 2
@@ -322,6 +337,8 @@ label p = ct
     @pytest.mark.parametrize("text", [
         # the duplicate makes two equal configurations
         IS_EX_TEXT.replace("states l1 l2 l3", "states l1 l2 l2 l3"),
+        # no state of Env is the initial one
+        IS_EX_TEXT.replace("init l0", "init zz"),
         "\xff\xfe agent",
     ])
     def test_malformed_file_is_exit_2(self, capsys, tmp_path, text):

@@ -28,7 +28,6 @@ from ehsmc.formulas import (
     format_formula,
     fragment_of,
     letter_predicate_holds,
-    modal_depth,
     modal_free,
     normalize,
     parse_plus,
@@ -44,7 +43,7 @@ from ehsmc.formulas import (
 from ehsmc.regexes import Concat, Star, Sym
 from ehsmc.systems import LocalComponent, InterpretedSystem, Relation
 
-from genutil import random_formula
+from genutil import modal_depth, random_formula
 
 
 class TestParsing:

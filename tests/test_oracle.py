@@ -5,7 +5,7 @@ import pytest
 from ehsmc.errors import InputError
 from ehsmc.formulas import parse_plus, parse_re
 from ehsmc.oracle import minimal_anchor, oracle_check
-from ehsmc.systems import AnchoredInterval, Interval
+from ehsmc.systems import AnchoredInterval, Interval, parse_system
 
 from conftest import iv
 
@@ -107,12 +107,12 @@ class TestInputChecking:
 
     def test_history_must_start_at_the_initial_configuration(self, is_ex, gs):
         aI = anchored(gs, ("g2",), ("g3",))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="initial configuration"):
             oracle_check(is_ex, aI, parse_plus("pi"), 4)
 
     def test_history_must_be_a_path(self, is_ex, gs):
         aI = anchored(gs, ("g1", "g3"), ("g1",))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="not a global step"):
             oracle_check(is_ex, aI, parse_plus("pi"), 4)
 
     def test_bound_must_be_positive(self, is_ex, gs):
@@ -129,6 +129,14 @@ class TestInputChecking:
         aI = minimal_anchor(is_ex, iv(gs, "g2", "g3", "g1"))
         assert aI.history == (gs["g1"],)
         assert aI.total_length == 4
+
+    def test_minimal_anchor_rejects_unreachable_interval(self):
+        sys_ = parse_system(
+            "agent Solo\n  states s t\n  init s\n  actions go\n"
+            "  protocol s: go\n  protocol t: go\n  trans s (go) s\n  trans t (go) t\n"
+        )
+        with pytest.raises(InputError, match="not reachable"):
+            minimal_anchor(sys_, Interval((("t",),)))
 
 
 class TestDuality:

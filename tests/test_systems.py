@@ -1,13 +1,14 @@
 """Tests for the interpreted-system core: transition relation, intervals,
 Allen relations, epistemic classes, text format."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from ehsmc.errors import InputError
-from ehsmc.regexes import EPSILON, parse_regex
+from ehsmc.regexes import EPSILON, Sym, parse_regex
 from ehsmc.systems import (
     AnchoredInterval,
     Interval,
@@ -23,10 +24,11 @@ from ehsmc.systems import (
     format_system,
     global_step,
     label_holds,
+    load_system,
     parse_system,
+    system_warnings,
     tg_to_dot,
     validate_interval,
-    validate_system,
 )
 
 from ehsmc.abln import check_abln, user_bound
@@ -67,9 +69,7 @@ class TestRunningExample:
             label_holds(is_ex, "nope", iv(gs, "g1"))
 
     def test_validation_clean(self, is_ex):
-        report = validate_system(is_ex)
-        assert report.ok
-        assert not report.warnings
+        assert system_warnings(is_ex) == []
 
 
 class TestIntervals:
@@ -254,12 +254,89 @@ class TestEpistemic:
             epi_class(is_ex, iv(gs, "g1"), 7)
 
 
+def broken(index=None, labelling=None, aliases=None, **changes):
+    """Constructor arguments of the running example with one agent's
+    fields changed, the labelling replaced or aliases added."""
+    def arguments(sys_):
+        agents = list(sys_.agents)
+        if index is not None:
+            agents[index] = dataclasses.replace(agents[index], **changes)
+        return agents, labelling or sys_.labelling, {**sys_.aliases, **(aliases or {})}
+    return arguments
+
+
+MALFORMED = [
+    pytest.param(lambda s: ([], {}, {}), "at least one agent is required", id="no-agents"),
+    pytest.param(broken(1, states=()), "agent Proc: declares no local states",
+                 id="no-states"),
+    pytest.param(broken(1, states=("l1", "l2", "l2", "l3")),
+                 "agent Proc: duplicate local states", id="duplicate-states"),
+    pytest.param(broken(0, init="zz"), "agent Env: init 'zz' not a state", id="init"),
+    pytest.param(broken(1, protocol={"l9": ("eps",)}),
+                 "agent Proc: protocol for unknown state 'l9'", id="protocol-state"),
+    pytest.param(broken(1, protocol={"l1": ("run",)}),
+                 "agent Proc: protocol action 'run' not declared", id="protocol-action"),
+    pytest.param(broken(1, transitions=(("l1", ("a1", "eps"), "l9"),)),
+                 "agent Proc: transition 'l1' -> 'l9' uses unknown states",
+                 id="transition-state"),
+    pytest.param(broken(1, transitions=(("l1", ("a1",), "l2"),)),
+                 "agent Proc: pattern ('a1',) has arity 1, expected 2", id="arity"),
+    pytest.param(broken(1, transitions=(("l1", ("a9", "eps"), "l2"),)),
+                 "agent Proc: pattern slot 0 names unknown action 'a9'",
+                 id="pattern-action"),
+    pytest.param(broken(aliases={"g": ("l0",)}),
+                 "config g: ('l0',) is not a configuration", id="alias-arity"),
+    pytest.param(broken(aliases={"g": ("l0", "l9")}),
+                 "config g: ('l0', 'l9') is not a configuration", id="alias-state"),
+    pytest.param(broken(labelling={"p": Sym("(l0,l9)")}),
+                 "label p: symbols outside the configuration space: ['(l0,l9)']",
+                 id="label-symbol"),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("arguments,message", MALFORMED)
+    def test_malformed_system_rejected_at_construction(self, is_ex, arguments, message):
+        with pytest.raises(InputError) as exc:
+            InterpretedSystem(*arguments(is_ex))
+        assert str(exc.value) == message
+
+    def test_bad_init_file_rejected_at_load(self, tmp_path):
+        with open(data_path("is_ex.isrl")) as fh:
+            text = fh.read()
+        path = tmp_path / "bad_init.isrl"
+        path.write_text(text.replace("init l0", "init zz"))
+        with pytest.raises(InputError) as exc:
+            load_system(str(path))
+        assert str(exc.value) == f"{path}: line 2: agent Env: init 'zz' not a state"
+
+    def test_rejections_name_their_line(self, is_ex):
+        text = format_system(is_ex) + "config bad = (l0,l9)\n"
+        with pytest.raises(SystemParseError) as exc:
+            parse_system(text)
+        assert exc.value.line == text.count("\n")
+        with pytest.raises(SystemParseError) as exc:
+            parse_system("# no init\nagent A\n  states s\n")
+        assert exc.value.line == 2
+        with pytest.raises(SystemParseError, match="line 1: at least one agent"):
+            parse_system("# no agent\n")
+
+    def test_relabelling_shares_the_step_relation(self, is_ex, gs):
+        relabelled = is_ex.with_labelling({"q": Sym(config_str(gs["g2"]))})
+        assert relabelled._succ is is_ex._succ
+        assert relabelled.alphabet is is_ex.alphabet
+        assert relabelled.variables == ("q",) and is_ex.variables == ("p",)
+        assert label_holds(relabelled, "q", iv(gs, "g2"))
+        with pytest.raises(InputError, match="outside the configuration space"):
+            is_ex.with_labelling({"q": Sym("(l0,l9)")})
+        assert is_ex.variables == ("p",)
+        # nothing the constructor sets is left out
+        built = InterpretedSystem(is_ex.agents, {}, is_ex.aliases)
+        assert list(vars(built.with_labelling({}))) == list(vars(built))
+
     def test_epsilon_label_warns(self, is_ex):
         sys_ = InterpretedSystem(is_ex.agents, {"p": EPSILON}, is_ex.aliases)
-        report = validate_system(sys_)
-        assert report.ok
-        assert any("empty word" in w for w in report.warnings)
+        assert any("empty word" in w for w in system_warnings(sys_))
 
     def test_actionless_state_warns(self, is_ex):
         proc = is_ex.agents[1]
@@ -269,18 +346,7 @@ class TestValidation:
             proc.transitions,
         )
         sys_ = InterpretedSystem((is_ex.agents[0], crippled), is_ex.labelling, is_ex.aliases)
-        report = validate_system(sys_)
-        assert report.ok
-        assert any("l1" in w and "no action" in w for w in report.warnings)
-
-    def test_violations_reported_not_raised(self):
-        agent = LocalComponent("a", ("s",), "missing", ("x",), {"s": ("y",)}, (("s", ("x", "x"), "s"),))
-        sys_ = InterpretedSystem([agent], {})
-        report = validate_system(sys_)
-        assert not report.ok
-        assert any("init" in v for v in report.violations)
-        assert any("not declared" in v for v in report.violations)
-        assert any("arity" in v for v in report.violations)
+        assert any("l1" in w and "no action" in w for w in system_warnings(sys_))
 
 
 class TestTextFormat:
@@ -350,9 +416,8 @@ def reference_successors(sys_, g):
 
 
 def random_branching_system(rng):
-    """Up to three agents with partial protocols, wildcard patterns,
-    nondeterministic rules, and now and then a rule of the wrong arity
-    or one that leaves the state space (neither may ever fire)."""
+    """Up to three agents with partial protocols, wildcard patterns and
+    nondeterministic rules."""
     n = rng.randint(1, 3)
     actions = [[f"a{i}{k}" for k in range(rng.randint(1, 3))] for i in range(n)]
     agents = []
@@ -367,10 +432,7 @@ def random_branching_system(rng):
         for _ in range(rng.randint(1, 10)):
             pattern = tuple("*" if rng.random() < 0.4 else rng.choice(actions[j])
                             for j in range(n))
-            if rng.random() < 0.05:
-                pattern += ("*",)
-            dst = "ghost" if rng.random() < 0.05 else rng.choice(states)
-            rules.append((rng.choice(states), pattern, dst))
+            rules.append((rng.choice(states), pattern, rng.choice(states)))
         agents.append(LocalComponent(f"A{i}", states, states[0], tuple(actions[i]),
                                      protocol, tuple(rules)))
     return InterpretedSystem(agents, {})
