@@ -62,9 +62,10 @@ class Alphabet:
         if len(set(syms)) != len(syms):
             raise ValueError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "symbols", tuple(sorted(syms)))
+        object.__setattr__(self, "_members", frozenset(syms))
 
     def __contains__(self, symbol: object) -> bool:
-        return symbol in self.symbols
+        return symbol in self._members
 
     def __iter__(self):
         return iter(self.symbols)

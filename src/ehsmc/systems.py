@@ -136,9 +136,12 @@ class InterpretedSystem:
 
         self.initial: GlobalConfig = tuple(a.init for a in self.agents)
         self.all_configs: Tuple[GlobalConfig, ...] = tuple(
-            sorted(itertools.product(*(a.states for a in self.agents)))
+            itertools.product(*(sorted(a.states) for a in self.agents))
         )
-        self.alphabet = Alphabet(tuple(config_str(g) for g in self.all_configs))
+        names = tuple(config_str(g) for g in self.all_configs)
+        self.alphabet = Alphabet(names)
+        self._by_name: Dict[str, GlobalConfig] = {**dict(zip(names, self.all_configs)),
+                                                  **self.aliases}
 
         self._display: Dict[GlobalConfig, str] = {}
         for alias, cfg in self.aliases.items():
@@ -159,9 +162,8 @@ class InterpretedSystem:
         return relabelled
 
     def _label(self, labelling: Dict[str, RegexExpr]) -> None:
-        symbols = set(self.alphabet.symbols)
         for var, expr in labelling.items():
-            stray = symbols_of(expr) - symbols
+            stray = {s for s in symbols_of(expr) if s not in self.alphabet}
             if stray:
                 raise InputError(
                     f"label {var}: symbols outside the configuration space: {sorted(stray)}"
@@ -173,46 +175,44 @@ class InterpretedSystem:
     # -- derived tables -----------------------------------------------------
 
     def _compute_successors(self) -> Dict[GlobalConfig, Tuple[GlobalConfig, ...]]:
-        """Successor table over every configuration. An agent's targets
-        depend only on its local state and the joint action, so each such
-        pair is matched against the agent's rules once per system."""
-        memos: List[Dict[Tuple[str, Tuple[str, ...]], FrozenSet[str]]] = [
-            {} for _ in self.agents
-        ]
-
-        def successors(g: GlobalConfig) -> Tuple[GlobalConfig, ...]:
-            permitted = []
-            for agent, local in zip(self.agents, g):
-                acts = agent.protocol.get(local, ())
-                if not acts:
-                    return ()
-                permitted.append(sorted(acts))
-            out: Set[GlobalConfig] = set()
-            for joint in itertools.product(*permitted):
-                moves: List[FrozenSet[str]] = []
-                for agent, memo, local in zip(self.agents, memos, g):
-                    key = (local, joint)
-                    targets = memo.get(key)
-                    if targets is None:
-                        targets = memo[key] = frozenset(
-                            dst
-                            for (src, pat, dst) in agent.transitions
-                            if src == local and _pattern_matches(pat, joint)
-                        )
-                    if not targets:
-                        break
-                    moves.append(targets)
-                else:
-                    out.update(itertools.product(*moves))
-            return tuple(sorted(out))
-
-        return {g: successors(g) for g in self.all_configs}
+        """Successor table over every configuration, built one joint action
+        at a time: under it each agent moves by its rules whose source state
+        permits the agent's action, independently of the others. Each
+        distinct pattern is matched once per joint action. Configurations
+        are numbered in mixed radix over each agent's sorted states, which
+        is their position in `all_configs`."""
+        weight = len(self.all_configs)
+        number: List[Dict[str, int]] = []  # per agent: state -> digit * weight
+        for agent in self.agents:
+            weight //= len(agent.states)
+            number.append({s: k * weight for k, s in enumerate(sorted(agent.states))})
+        permits = [{(s, a) for s, acts in agent.protocol.items() for a in acts}
+                   for agent in self.agents]
+        offered = [sorted({a for _, a in ok}) for ok in permits]
+        patterns = {pat for agent in self.agents for _, pat, _ in agent.transitions}
+        succ: List[Set[int]] = [set() for _ in self.all_configs]
+        for joint in itertools.product(*offered):
+            hit = {pat for pat in patterns if _pattern_matches(pat, joint)}
+            moves: List[Set[Tuple[int, int]]] = []
+            for agent, num, ok, act in zip(self.agents, number, permits, joint):
+                pairs = {(num[src], num[dst]) for src, pat, dst in agent.transitions
+                         if (src, act) in ok and pat in hit}
+                if not pairs:
+                    break
+                moves.append(pairs)
+            else:
+                layer = [(0, 0)]
+                for pairs in moves:
+                    layer = [(s + ps, d + pd) for s, d in layer for ps, pd in pairs]
+                for s, d in layer:
+                    succ[s].add(d)
+        configs = self.all_configs
+        return {g: tuple(configs[d] for d in sorted(ds)) for g, ds in zip(configs, succ)}
 
     def _compute_reachable(self) -> Tuple[GlobalConfig, ...]:
         seen = {self.initial}
         queue = [self.initial]
-        while queue:
-            g = queue.pop(0)
+        for g in queue:  # also visits what is appended on the way
             for h in self._succ[g]:
                 if h not in seen:
                     seen.add(h)
@@ -228,12 +228,10 @@ class InterpretedSystem:
         return self._display.get(g, config_str(g))
 
     def config_by_name(self, name: str) -> GlobalConfig:
-        if name in self.aliases:
-            return self.aliases[name]
-        for g in self.all_configs:
-            if config_str(g) == name:
-                return g
-        raise InputError(f"unknown configuration {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise InputError(f"unknown configuration {name!r}") from None
 
     def dfa_for(self, var: str) -> Dfa:
         if var not in self.labelling:
@@ -246,7 +244,7 @@ class InterpretedSystem:
 # What a system's labelling does not affect, in the order the constructor
 # sets it. `with_labelling` copies these one by one: a copy made through
 # __dict__ (copy.copy) reads every attribute about 1.5x slower on CPython 3.11.
-_LABEL_FREE = ("agents", "aliases", "initial", "all_configs", "alphabet",
+_LABEL_FREE = ("agents", "aliases", "initial", "all_configs", "alphabet", "_by_name",
                "_display", "_succ", "reachable", "reachable_set")
 
 
@@ -254,12 +252,18 @@ def _violations(
     agents: Tuple[LocalComponent, ...], aliases: Dict[str, GlobalConfig]
 ) -> Iterator[str]:
     """Every way the agents and aliases break the rules of a system:
-    declared, distinct states; protocols and transitions over declared
-    states and actions; patterns of one action slot per agent; aliases
-    that name configurations."""
+    distinct agent names; declared, distinct states; protocols and
+    transitions over declared states and actions; patterns of one action
+    slot per agent; aliases that name configurations."""
     n = len(agents)
     if not agents:
         yield "at least one agent is required"
+    named: Set[str] = set()
+    for agent in agents:
+        if agent.name in named:
+            yield f"agent {agent.name}: duplicate agent name"
+        if agent.name:
+            named.add(agent.name)
     for idx, agent in enumerate(agents):
         tag = f"agent {agent.name or idx}"
         if not agent.states:

@@ -4,6 +4,7 @@ Allen relations, epistemic classes, text format."""
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -267,6 +268,8 @@ def broken(index=None, labelling=None, aliases=None, **changes):
 
 MALFORMED = [
     pytest.param(lambda s: ([], {}, {}), "at least one agent is required", id="no-agents"),
+    pytest.param(broken(1, name="Env", init="zz"), "agent Env: duplicate agent name",
+                 id="duplicate-agent"),
     pytest.param(broken(1, states=()), "agent Proc: declares no local states",
                  id="no-states"),
     pytest.param(broken(1, states=("l1", "l2", "l2", "l3")),
@@ -309,6 +312,15 @@ class TestValidation:
         with pytest.raises(InputError) as exc:
             load_system(str(path))
         assert str(exc.value) == f"{path}: line 2: agent Env: init 'zz' not a state"
+
+    def test_duplicate_agent_file_names_the_repeating_block(self, tmp_path):
+        with open(data_path("is_ex.isrl")) as fh:
+            text = fh.read()
+        path = tmp_path / "two_envs.isrl"
+        path.write_text(text.replace("agent Proc", "agent Env"))
+        with pytest.raises(InputError) as exc:
+            load_system(str(path))
+        assert str(exc.value) == f"{path}: line 8: agent Env: duplicate agent name"
 
     def test_rejections_name_their_line(self, is_ex):
         text = format_system(is_ex) + "config bad = (l0,l9)\n"
@@ -416,18 +428,25 @@ def reference_successors(sys_, g):
 
 
 def random_branching_system(rng):
-    """Up to three agents with partial protocols, wildcard patterns and
-    nondeterministic rules."""
-    n = rng.randint(1, 3)
-    actions = [[f"a{i}{k}" for k in range(rng.randint(1, 3))] for i in range(n)]
+    """Up to four agents with partial protocols, wildcard patterns and
+    nondeterministic rules. States are declared in random order (and
+    `s10` sorts before `s2`), some declared actions are never offered,
+    and some agents offer no action in any state."""
+    n = rng.randint(1, 4)
+    offered = [[f"a{i}{k}" for k in range(rng.randint(1, 3))] for i in range(n)]
+    actions = [acts + ([f"u{i}"] if rng.random() < 0.3 else [])
+               for i, acts in enumerate(offered)]
     agents = []
     for i in range(n):
-        states = tuple(f"s{k}" for k in range(rng.randint(1, 3)))
-        protocol = {
-            s: tuple(rng.sample(actions[i], rng.randint(0 if rng.random() < 0.1 else 1,
-                                                        len(actions[i]))))
-            for s in states
-        }
+        states = tuple(rng.sample(["s2", "s10", "s1", "t", "S0"], rng.randint(1, 3)))
+        if rng.random() < 0.05:
+            protocol = dict.fromkeys(states, ())
+        else:
+            protocol = {
+                s: tuple(rng.sample(offered[i], rng.randint(0 if rng.random() < 0.1 else 1,
+                                                            len(offered[i]))))
+                for s in states
+            }
         rules = []
         for _ in range(rng.randint(1, 10)):
             pattern = tuple("*" if rng.random() < 0.4 else rng.choice(actions[j])
@@ -451,8 +470,26 @@ class TestSuccessorConstruction:
         edges = 0
         for _ in range(300):
             sys_ = random_branching_system(rng)
+            assert sys_.all_configs == tuple(
+                sorted(itertools.product(*(a.states for a in sys_.agents))))
             for g in sys_.all_configs:
                 expected = reference_successors(sys_, g)
                 assert sys_.successors(g) == expected
                 edges += len(expected)
         assert edges > 1000
+
+    def test_seven_counter_ring_with_inline_tuple_label(self):
+        # 2,187 configurations, each named in a label as an inline tuple: a
+        # scan of the alphabet per symbol makes that label quadratic to parse
+        ring = ring_text(7, (1,) * 7)
+        names = [config_str(g) for g in parse_system(ring).all_configs]
+        random.Random(0).shuffle(names)
+        text = ring + "label every = (" + " + ".join(names) + ")*\n"
+        started = time.perf_counter()
+        sys_ = parse_system(text)
+        dfa = sys_.dfa_for("every")
+        elapsed = time.perf_counter() - started
+        assert len(sys_.reachable) == 2187
+        assert all(len(sys_.successors(g)) == 7 for g in sys_.reachable)
+        assert dfa.states == ("z1",) and dfa.accepting == frozenset({"z1"})
+        assert elapsed < 2.0, f"7-counter ring parsed and compiled in {elapsed:.2f} s"
