@@ -51,6 +51,7 @@ from .systems import (
     GlobalConfig,
     InterpretedSystem,
     Interval,
+    Path,
     Relation,
     allen_successors,
     common_class,
@@ -294,7 +295,7 @@ def check_abln(
     is eliminated on entry; begins/during/ends and every backward
     modality are rejected)."""
     root = prepare(sys, f, Fragment.ABLN)
-    validate_interval(sys, interval)
+    configs = validate_interval(sys, interval)
     insufficient: List[int] = []
     operands: Dict[int, Tuple[bool, int, bool]] = {}
 
@@ -316,12 +317,12 @@ def check_abln(
             operands[id(operand)] = info
         return info
 
-    def temporal(node: Diamond, cfgs: Tuple[GlobalConfig, ...], holds: Holds) -> bool:
+    def temporal(node: Diamond, cfgs: Path, holds: Holds) -> bool:
         operand = node.sub
         free, cap, sufficient = operand_info(operand)
-        here = Interval(cfgs)
         if free:
-            return regular_witness_search(sys, here, node.relation, operand) is not None
+            return regular_witness_search(sys, Interval(cfgs), node.relation,
+                                          operand) is not None
         max_len = len(cfgs) + cap
         prefix, starts = forward_frame(sys, cfgs, node.relation)
         if mode.kind != "user":
@@ -338,12 +339,12 @@ def check_abln(
         # with no reachable cycle, a cap above the reachable count covers every path
         if not sufficient and (cap <= len(sys.reachable) or _cycle_reachable(sys, starts)):
             insufficient.append(cap)
-        for candidate in allen_successors(sys, here, node.relation, max_len):
-            if holds(operand, candidate.configs):
+        for candidate in allen_successors(sys, cfgs, node.relation, max_len):
+            if holds(operand, candidate):
                 return True
         return False
 
-    holds = evaluate(sys, root, interval.configs, temporal)
+    holds = evaluate(sys, root, configs, temporal)
     return Verdict(holds, max(insufficient) if insufficient else None)
 
 
@@ -376,17 +377,16 @@ def compute_mct(
     if horizon < 1:
         raise InputError("horizon must be positive")
     root = prepare(sys, f, Fragment.ABLN)
-    validate_interval(sys, interval)
+    configs = validate_interval(sys, interval)
 
-    def related(modal: Formula, cfgs: Tuple[GlobalConfig, ...]) -> List[Interval]:
-        here = Interval(cfgs)
+    def related(modal: Formula, cfgs: Path) -> List[Path]:
         if isinstance(modal, K):
-            return sorted(epi_class(sys, here, modal.agent), key=lambda i: i.configs)
+            return sorted(epi_class(sys, cfgs, modal.agent))
         if isinstance(modal, C):
-            return sorted(common_class(sys, here, modal.group), key=lambda i: i.configs)
-        return list(allen_successors(sys, here, modal.relation, max_len=horizon))
+            return sorted(common_class(sys, cfgs, modal.group))
+        return list(allen_successors(sys, cfgs, modal.relation, max_len=horizon))
 
-    def build(node: Formula, cfgs: Tuple[GlobalConfig, ...]) -> Mct:
+    def build(node: Formula, cfgs: Path) -> Mct:
         word = [config_str(g) for g in cfgs]
         states = tuple(
             (var, run(sys.dfa_for(var), word)) for var in sorted(sys.variables)
@@ -398,7 +398,7 @@ def compute_mct(
                        key=lambda edge: edge[0])
         for key, modal in edges:
             subtrees = tuple(sorted({
-                build(modal.sub, member.configs) for member in related(modal, cfgs)
+                build(modal.sub, member) for member in related(modal, cfgs)
             }))
             children.append((key, subtrees))
         return Mct(
@@ -409,7 +409,7 @@ def compute_mct(
             children=tuple(children),
         )
 
-    return build(root, interval.configs)
+    return build(root, configs)
 
 
 def mct_to_dot(tree: Mct) -> str:

@@ -31,9 +31,9 @@ from .formulas import (
     prepare,
 )
 from .systems import (
-    GlobalConfig,
     InterpretedSystem,
     Interval,
+    Path,
     allen_successors,
     common_class,
     epi_class,
@@ -41,21 +41,20 @@ from .systems import (
     validate_interval,
 )
 
-Configs = Tuple[GlobalConfig, ...]
-Holds = Callable[[Formula, Configs], bool]
+Holds = Callable[[Formula, Path], bool]
 # how an engine searches <X>g at an interval, given the evaluator for g
-DiamondSearch = Callable[[Diamond, Configs, Holds], bool]
+DiamondSearch = Callable[[Diamond, Path, Holds], bool]
 
 
 def evaluate(
-    sys: InterpretedSystem, root: Formula, configs: Configs, diamond: DiamondSearch
+    sys: InterpretedSystem, root: Formula, configs: Path, diamond: DiamondSearch
 ) -> bool:
     """Truth of a prepared formula (see `formulas.prepare`) on the
     interval. Atoms, knowledge operators and diamonds are decided once
     per (subformula, interval) pair in a call."""
-    memo: Dict[Tuple[int, Configs], bool] = {}
+    memo: Dict[Tuple[int, Path], bool] = {}
 
-    def holds(node: Formula, cfgs: Configs) -> bool:
+    def holds(node: Formula, cfgs: Path) -> bool:
         kind = type(node)
         # connectives and constants cost less than a memo lookup
         if kind is Not:
@@ -70,15 +69,15 @@ def evaluate(
         value = memo.get(key)
         if value is None:
             if kind is Var:
-                value = label_holds(sys, node.name, Interval(cfgs))
+                value = label_holds(sys, node.name, cfgs)
             elif kind is Diamond:
                 value = diamond(node, cfgs, holds)
             elif kind is K or kind is C:
-                members = (epi_class(sys, Interval(cfgs), node.agent) if kind is K
-                           else common_class(sys, Interval(cfgs), node.group))
+                members = (epi_class(sys, cfgs, node.agent) if kind is K
+                           else common_class(sys, cfgs, node.group))
                 value = True
                 for member in members:
-                    if not holds(node.sub, member.configs):
+                    if not holds(node.sub, member):
                         value = False
                         break
             else:
@@ -92,12 +91,12 @@ def evaluate(
 def check_bde(sys: InterpretedSystem, interval: Interval, f: Formula) -> bool:
     """Exact verdict for a begins/during/ends-fragment formula."""
     root = prepare(sys, f, Fragment.BDE)
-    validate_interval(sys, interval)
+    configs = validate_interval(sys, interval)
 
-    def related(node: Diamond, cfgs: Configs, holds: Holds) -> bool:
-        for candidate in allen_successors(sys, Interval(cfgs), node.relation):
-            if holds(node.sub, candidate.configs):
+    def related(node: Diamond, cfgs: Path, holds: Holds) -> bool:
+        for candidate in allen_successors(sys, cfgs, node.relation):
+            if holds(node.sub, candidate):
                 return True
         return False
 
-    return evaluate(sys, root, interval.configs, related)
+    return evaluate(sys, root, configs, related)

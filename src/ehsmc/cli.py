@@ -410,8 +410,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# one parser per process: parse_args makes a fresh namespace and no default is mutable
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, OSError) as e:

@@ -17,7 +17,7 @@ history-free fragments exact even at the smallest legal bound.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .errors import InputError
 from .formulas import (
@@ -42,13 +42,14 @@ from .systems import (
     GlobalConfig,
     InterpretedSystem,
     Interval,
+    Path,
     Relation,
     common_class,
     config_str,
     epi_class,
 )
 
-Anchored = Tuple[Tuple[GlobalConfig, ...], Tuple[GlobalConfig, ...]]
+Anchored = Tuple[Path, Path]
 
 
 def _check_anchoring(sys: InterpretedSystem, anchored: AnchoredInterval) -> None:
@@ -64,11 +65,11 @@ def _check_anchoring(sys: InterpretedSystem, anchored: AnchoredInterval) -> None
 
 def _paths_from(
     sys: InterpretedSystem, start: GlobalConfig, max_len: int
-) -> Iterator[Tuple[GlobalConfig, ...]]:
+) -> Iterator[Path]:
     """Non-empty paths beginning at start, shortest first."""
-    frontier: List[Tuple[GlobalConfig, ...]] = [(start,)] if max_len >= 1 else []
+    frontier: List[Path] = [(start,)] if max_len >= 1 else []
     while frontier:
-        grown: List[Tuple[GlobalConfig, ...]] = []
+        grown: List[Path] = []
         for path in frontier:
             yield path
             if len(path) < max_len:
@@ -79,7 +80,7 @@ def _paths_from(
 
 def _anchors_of(
     sys: InterpretedSystem, start: GlobalConfig, max_hist: int
-) -> List[Tuple[GlobalConfig, ...]]:
+) -> List[Path]:
     """Histories h with h ++ (start, ...) a path from the initial
     configuration and |h| <= max_hist, shortest first; if the cap admits
     none, the shortest one regardless of the cap: `minimal_anchor`'s,
@@ -122,15 +123,13 @@ def oracle_check(
             )
         return valuations[g]
 
-    def check(node: Formula, h: Tuple[GlobalConfig, ...],
-              c: Tuple[GlobalConfig, ...]) -> bool:
+    def check(node: Formula, h: Path, c: Path) -> bool:
         key = (id(node), (h, c))
         if key not in memo:
             memo[key] = evaluate(node, h, c)
         return memo[key]
 
-    def evaluate(node: Formula, h: Tuple[GlobalConfig, ...],
-                 c: Tuple[GlobalConfig, ...]) -> bool:
+    def evaluate(node: Formula, h: Path, c: Path) -> bool:
         if isinstance(node, Pi):
             return len(c) == 1
         if isinstance(node, Top):
@@ -147,11 +146,11 @@ def oracle_check(
         if isinstance(node, And):
             return check(node.left, h, c) and check(node.right, h, c)
         if isinstance(node, K):
-            members = epi_class(sys, Interval(c), node.agent)
-            return all(holds_at_every_anchoring(node.sub, m.configs) for m in members)
+            members = epi_class(sys, c, node.agent)
+            return all(holds_at_every_anchoring(node.sub, m) for m in members)
         if isinstance(node, C):
-            members = common_class(sys, Interval(c), node.group)
-            return all(holds_at_every_anchoring(node.sub, m.configs) for m in members)
+            members = common_class(sys, c, node.group)
+            return all(holds_at_every_anchoring(node.sub, m) for m in members)
         if isinstance(node, Diamond):
             return any(
                 check(node.sub, h2, c2)
@@ -159,15 +158,13 @@ def oracle_check(
             )
         raise TypeError(f"not a normalized formula node: {node!r}")
 
-    def holds_at_every_anchoring(sub: Formula,
-                                 cfgs: Tuple[GlobalConfig, ...]) -> bool:
+    def holds_at_every_anchoring(sub: Formula, cfgs: Path) -> bool:
         return all(
             check(sub, h2, cfgs)
             for h2 in _anchors_of(sys, cfgs[0], bound - len(cfgs))
         )
 
-    def candidates(relation: Relation, h: Tuple[GlobalConfig, ...],
-                   c: Tuple[GlobalConfig, ...]) -> Iterator[Anchored]:
+    def candidates(relation: Relation, h: Path, c: Path) -> Iterator[Anchored]:
         full = h + c
         n_h, n_c = len(h), len(c)
         grow = bound - n_h - n_c  # forward budget beyond the input

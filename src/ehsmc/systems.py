@@ -5,9 +5,10 @@ each with local states, an initial state, actions, a protocol and local
 transitions guarded by joint-action patterns. The induced global step
 relation generates the reachable configurations; intervals are finite
 paths through that relation, kept in canonical form as configuration
-sequences. Anchored intervals additionally carry the history back to
-the initial configuration and are needed only by the bounded oracle,
-where backward interval relations live.
+sequences (a `Path`, wrapped in an `Interval` only at the public entry
+points). Anchored intervals additionally carry the history back to the
+initial configuration and are needed only by the bounded oracle, where
+backward interval relations live.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .regexes import (
 )
 
 GlobalConfig = Tuple[str, ...]
+Path = Tuple[GlobalConfig, ...]
 
 
 class Relation(str, Enum):
@@ -62,7 +64,7 @@ class Interval:
     global steps and the first configuration reachable (checked by
     `validate_interval`, not at construction)."""
 
-    configs: Tuple[GlobalConfig, ...]
+    configs: Path
 
     def __post_init__(self) -> None:
         if not self.configs:
@@ -86,7 +88,7 @@ class AnchoredInterval:
     initial configuration (empty history means the interval starts
     there)."""
 
-    history: Tuple[GlobalConfig, ...]
+    history: Path
     interval: Interval
 
     @property
@@ -252,9 +254,10 @@ def _violations(
     agents: Tuple[LocalComponent, ...], aliases: Dict[str, GlobalConfig]
 ) -> Iterator[str]:
     """Every way the agents and aliases break the rules of a system:
-    distinct agent names; declared, distinct states; protocols and
-    transitions over declared states and actions; patterns of one action
-    slot per agent; aliases that name configurations."""
+    distinct agent names; declared, distinct states without the ',', '('
+    and ')' that delimit canonical names; protocols and transitions over
+    declared states and actions; patterns of one action slot per agent;
+    aliases that name configurations."""
     n = len(agents)
     if not agents:
         yield "at least one agent is required"
@@ -270,6 +273,9 @@ def _violations(
             yield f"{tag}: declares no local states"
         if len(set(agent.states)) != len(agent.states):
             yield f"{tag}: duplicate local states"
+        for state in agent.states:
+            if any(c in state for c in ",()"):
+                yield f"{tag}: state {state!r} contains ',', '(' or ')'"
         if agent.init not in agent.states:
             yield f"{tag}: init {agent.init!r} not a state"
         for state, acts in agent.protocol.items():
@@ -302,29 +308,27 @@ def config_str(g: GlobalConfig) -> str:
 # Core relations
 
 
-def global_step(sys: InterpretedSystem, g: GlobalConfig, g2: GlobalConfig) -> bool:
-    """True iff some joint action permitted by every protocol drives
-    every local transition from g to g2."""
-    return g2 in sys.successors(g)
-
-
-def label_holds(sys: InterpretedSystem, var: str, interval: Interval) -> bool:
+def label_holds(sys: InterpretedSystem, var: str, configs: Path) -> bool:
     """Compiled-DFA route: the canonical configuration word of the
     interval is accepted by the minimal automaton of the variable."""
     dfa = sys.dfa_for(var)
-    return run(dfa, [config_str(g) for g in interval.configs]) in dfa.accepting
+    return run(dfa, [config_str(g) for g in configs]) in dfa.accepting
 
 
-def validate_interval(sys: InterpretedSystem, interval: Interval) -> None:
-    if interval.first not in sys.reachable_set:
+def validate_interval(sys: InterpretedSystem, interval: Interval) -> Path:
+    """The interval's configurations, once they are checked to be a path
+    of global steps from a reachable configuration."""
+    configs = interval.configs
+    if configs[0] not in sys.reachable_set:
         raise InputError(
-            f"interval start {sys.display(interval.first)} is not reachable"
+            f"interval start {sys.display(configs[0])} is not reachable"
         )
-    for a, b in zip(interval.configs, interval.configs[1:]):
-        if not global_step(sys, a, b):
+    for a, b in zip(configs, configs[1:]):
+        if b not in sys.successors(a):
             raise InputError(
                 f"{sys.display(a)} -> {sys.display(b)} is not a global step"
             )
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +337,9 @@ def validate_interval(sys: InterpretedSystem, interval: Interval) -> None:
 
 def _paths_from(
     sys: InterpretedSystem, starts: Sequence[GlobalConfig], max_len: int
-) -> Iterator[Tuple[GlobalConfig, ...]]:
+) -> Iterator[Path]:
     # starts and successor tuples are sorted, so every layer is too
-    layer: List[Tuple[GlobalConfig, ...]] = [(g,) for g in starts]
+    layer: List[Path] = [(g,) for g in starts]
     while layer and max_len > 0:
         yield from layer
         max_len -= 1
@@ -343,8 +347,8 @@ def _paths_from(
 
 
 def forward_frame(
-    sys: InterpretedSystem, configs: Tuple[GlobalConfig, ...], relation: Relation
-) -> Tuple[Tuple[GlobalConfig, ...], Tuple[GlobalConfig, ...]]:
+    sys: InterpretedSystem, configs: Path, relation: Relation
+) -> Tuple[Path, Tuple[GlobalConfig, ...]]:
     """(prefix, starts): A, Bbar and N relate `configs` to exactly the
     intervals `prefix + path`, for every path beginning in `starts` (sorted
     and distinct): the last configuration (A) or its successors (N), after
@@ -361,10 +365,10 @@ def forward_frame(
 
 def allen_successors(
     sys: InterpretedSystem,
-    interval: Interval,
+    configs: Path,
     relation: Relation,
     max_len: Optional[int] = None,
-) -> Iterator[Interval]:
+) -> Iterator[Path]:
     """Enumerate the intervals related to the given one.
 
     Supported here: A, B, Bbar, D, E, N. The relations with unboundedly
@@ -379,44 +383,37 @@ def allen_successors(
         raise ValueError(
             f"relation {relation.value} is history-dependent; use the bounded oracle"
         )
-    cfgs = interval.configs
-    n = len(cfgs)
+    n = len(configs)
 
     if relation == Relation.B:
         for k in range(1, n):
-            yield Interval(cfgs[:k])
+            yield configs[:k]
     elif relation == Relation.E:
         for j in range(n - 1, 0, -1):
-            yield Interval(cfgs[j:])
+            yield configs[j:]
     elif relation == Relation.D:
-        seen: Set[Tuple[GlobalConfig, ...]] = set()
+        seen: Set[Path] = set()
         for ln in range(1, max(n - 1, 0)):
-            chunk = sorted(
-                cfgs[i : i + ln]
-                for i in range(1, n - ln)
-            )
-            for c in chunk:
+            for c in sorted(configs[i : i + ln] for i in range(1, n - ln)):
                 if c not in seen:
                     seen.add(c)
-                    yield Interval(tuple(c))
+                    yield c
     else:
-        prefix, starts = forward_frame(sys, cfgs, relation)
+        prefix, starts = forward_frame(sys, configs, relation)
         for path in _paths_from(sys, starts, max_len - len(prefix)):
-            yield Interval(prefix + path)
+            yield prefix + path
 
 
 # ---------------------------------------------------------------------------
 # Epistemic structure
 
 
-def epi_class(sys: InterpretedSystem, interval: Interval, agent: int) -> Set[Interval]:
+def epi_class(sys: InterpretedSystem, configs: Path, agent: int) -> Set[Path]:
     """All valid intervals the agent cannot distinguish from this one."""
     if not (0 <= agent < len(sys.agents)):
         raise IndexError(f"agent index {agent} out of range")
-    target = [g[agent] for g in interval.configs]
-    partial: List[Tuple[GlobalConfig, ...]] = [
-        (g,) for g in sys.reachable if g[agent] == target[0]
-    ]
+    target = [g[agent] for g in configs]
+    partial: List[Path] = [(g,) for g in sys.reachable if g[agent] == target[0]]
     for want in target[1:]:
         partial = [
             path + (nxt,)
@@ -424,19 +421,17 @@ def epi_class(sys: InterpretedSystem, interval: Interval, agent: int) -> Set[Int
             for nxt in sys.successors(path[-1])
             if nxt[agent] == want
         ]
-    return {Interval(p) for p in partial}
+    return set(partial)
 
 
-def common_class(
-    sys: InterpretedSystem, interval: Interval, group: Iterable[int]
-) -> Set[Interval]:
+def common_class(sys: InterpretedSystem, configs: Path, group: Iterable[int]) -> Set[Path]:
     """Closure of the interval under the epistemic classes of every
     agent in the group (the common-knowledge reachability set)."""
     agents = sorted(set(group))
     if not agents:
         raise ValueError("agent group must be non-empty")
-    out: Set[Interval] = {interval}
-    queue = [interval]
+    out: Set[Path] = {configs}
+    queue = [configs]
     while queue:
         current = queue.pop()
         for i in agents:

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from ehsmc.systems import InterpretedSystem, Interval, load_system, parse_system
+from ehsmc.systems import InterpretedSystem, Interval, Path, load_system, parse_system
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -19,6 +19,25 @@ config h = (h)
 config n = (n)
 label p = h
 label q = n
+"""
+
+
+# agents whose states contain ',' and so would both make the name (a,b,c);
+# the comment line puts agent A on line 2
+COMMA_SYS_TEXT = """\
+# states a,b and b,c
+agent A
+  states a a,b
+  init a
+  actions go
+  protocol a: go
+  trans a (go,go) a
+agent B
+  states b,c c
+  init c
+  actions go
+  protocol c: go
+  trans c (go,go) c
 """
 
 
@@ -46,5 +65,9 @@ def point_sys():
     return sys, {"h": ("h",), "n": ("n",)}
 
 
+def cfgs(gs, *names) -> Path:
+    return tuple(gs[n] for n in names)
+
+
 def iv(gs, *names) -> Interval:
-    return Interval(tuple(gs[n] for n in names))
+    return Interval(cfgs(gs, *names))

@@ -28,7 +28,7 @@ from ehsmc.formulas import (
     Var,
     children,
 )
-from ehsmc.systems import InterpretedSystem, Interval, Relation
+from ehsmc.systems import InterpretedSystem, Interval, Path, Relation
 
 UnaryHead = Callable[[Formula], Formula]
 
@@ -143,11 +143,11 @@ def intervals_up_to(sys: InterpretedSystem, max_len: int) -> List[Interval]:
     return out
 
 
-def epi_equiv(left: Interval, right: Interval, agent: int) -> bool:
+def epi_equiv(left: Path, right: Path, agent: int) -> bool:
     """Reference indistinguishability: same length and pointwise equal
     local states for the agent."""
     return len(left) == len(right) and all(
-        a[agent] == b[agent] for a, b in zip(left.configs, right.configs)
+        a[agent] == b[agent] for a, b in zip(left, right)
     )
 
 

@@ -187,7 +187,7 @@ class TestWitnessSearch:
             frontier = [(s,) for s in sys_.successors(start)]
             for _length in range(diameter):
                 shortest = next(
-                    (p for p in frontier if _boolean_holds(sys_, operand, Interval(p))), None)
+                    (p for p in frontier if _boolean_holds(sys_, operand, p)), None)
                 if shortest is not None or not frontier:
                     break
                 frontier = [p + (s,) for p in frontier for s in sys_.successors(p[-1])]
@@ -197,7 +197,7 @@ class TestWitnessSearch:
                 assert len(got) == len(shortest)
                 assert got.first in sys_.successors(start)
                 validate_interval(sys_, got)
-                assert _boolean_holds(sys_, operand, got)
+                assert _boolean_holds(sys_, operand, got.configs)
         assert 0 < found_some < 200
 
 

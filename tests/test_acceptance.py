@@ -62,6 +62,7 @@ from ehsmc.systems import (
     AnchoredInterval,
     InterpretedSystem,
     Interval,
+    Path,
     Relation,
     config_str,
     format_system,
@@ -69,7 +70,7 @@ from ehsmc.systems import (
     parse_system,
 )
 
-from conftest import POINT_SYS_TEXT, iv
+from conftest import POINT_SYS_TEXT, cfgs, iv
 from genutil import all_formulas, bde_kit, intervals_up_to, modal_depth, random_formula
 
 
@@ -193,23 +194,23 @@ def _random_boolean(rng: random.Random, size: int, variables) -> Formula:
     return Not(_random_boolean(rng, size - 1, variables))
 
 
-def _boolean_holds(sys, node: Formula, interval: Interval) -> bool:
+def _boolean_holds(sys, node: Formula, configs: Path) -> bool:
     if isinstance(node, Pi):
-        return len(interval) == 1
+        return len(configs) == 1
     if isinstance(node, Top):
         return True
     if isinstance(node, Bot):
         return False
     if isinstance(node, Var):
-        return label_holds(sys, node.name, interval)
+        return label_holds(sys, node.name, configs)
     if isinstance(node, Not):
-        return not _boolean_holds(sys, node.sub, interval)
+        return not _boolean_holds(sys, node.sub, configs)
     if isinstance(node, And):
-        return (_boolean_holds(sys, node.left, interval)
-                and _boolean_holds(sys, node.right, interval))
+        return (_boolean_holds(sys, node.left, configs)
+                and _boolean_holds(sys, node.right, configs))
     if isinstance(node, Or):
-        return (_boolean_holds(sys, node.left, interval)
-                or _boolean_holds(sys, node.right, interval))
+        return (_boolean_holds(sys, node.left, configs)
+                or _boolean_holds(sys, node.right, configs))
     raise TypeError(node)
 
 
@@ -241,9 +242,9 @@ def test_criterion_01_running_example_reconstruction(is_ex, gs):
     steps = {(is_ex.display(g), is_ex.display(h))
              for g in is_ex.all_configs for h in is_ex.successors(g)}
     assert steps == {("g1", "g2"), ("g2", "g1"), ("g2", "g3"), ("g3", "g1")}
-    assert label_holds(is_ex, "p", iv(gs, "g1", "g2", "g3"))
-    assert label_holds(is_ex, "p", iv(gs, "g1", "g2", "g1", "g2", "g3"))
-    assert not label_holds(is_ex, "p", iv(gs, "g1"))
+    assert label_holds(is_ex, "p", cfgs(gs, "g1", "g2", "g3"))
+    assert label_holds(is_ex, "p", cfgs(gs, "g1", "g2", "g1", "g2", "g3"))
+    assert not label_holds(is_ex, "p", cfgs(gs, "g1"))
     _stamp(1, t0, 1.0, "3 configurations, 4 global steps, labelling checks")
 
 
@@ -344,7 +345,7 @@ def test_criterion_05_witness_search_vs_enumeration():
         shortest = None
         for _length in range(diameter):
             for path in frontier:
-                if _boolean_holds(sys, operand, Interval(path)):
+                if _boolean_holds(sys, operand, path):
                     shortest = path
                     break
             if shortest is not None or not frontier:
@@ -356,7 +357,7 @@ def test_criterion_05_witness_search_vs_enumeration():
         else:
             assert found is not None
             assert len(found) == len(shortest)
-            assert _boolean_holds(sys, operand, found)
+            assert _boolean_holds(sys, operand, found.configs)
             if base is None:
                 assert found.first == start
             else:

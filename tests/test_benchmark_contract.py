@@ -3,7 +3,8 @@ functions `perfbench/spans.py` names in `TARGETS`, looking each one up
 by name; every name must still resolve to a callable. The systems the
 benchmark's generators (`perfbench/workloads.py`) write must still
 construct, so that a stricter system format fails here and not only in
-the benchmark."""
+the benchmark. The committed B/D/E reference table must still match the
+formulas and intervals the benchmark generates."""
 
 import importlib
 import importlib.util
@@ -51,3 +52,12 @@ def test_generated_systems_construct():
         texts.append(gen.ring_text(n, {"home": every[0], "tgt": every[-1]}, {}))
     for text in texts:
         assert parse_system(text).reachable
+
+
+def test_bde_reference_table_matches(monkeypatch):
+    # imported as perfbench/run.py imports it; the table's fingerprint covers
+    # the order of `reachable` and `successors`, and BdeTable raises on a change
+    monkeypatch.syspath_prepend(PERFBENCH)
+    cases = importlib.import_module("cases")
+    _, fs, ivs = cases.bde_inputs()
+    cases.BdeTable(fs, ivs)

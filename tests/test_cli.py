@@ -11,7 +11,7 @@ import ehsmc
 from ehsmc.cli import main
 from ehsmc.formulas import MAX_FORMULA_DEPTH
 
-from conftest import POINT_SYS_TEXT, data_path
+from conftest import COMMA_SYS_TEXT, POINT_SYS_TEXT, data_path
 from genutil import ring_text
 
 IS_EX = data_path("is_ex.isrl")
@@ -340,6 +340,8 @@ label p = ct
         # no state of Env is the initial one
         IS_EX_TEXT.replace("init l0", "init zz"),
         "\xff\xfe agent",
+        # 'a,b' and 'b,c' would give two configurations the name (a,b,c)
+        COMMA_SYS_TEXT,
     ])
     def test_malformed_file_is_exit_2(self, capsys, tmp_path, text):
         path = tmp_path / "malformed.isrl"

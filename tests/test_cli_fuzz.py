@@ -15,7 +15,7 @@ from ehsmc.formulas import Fragment, fragment_of, parse_plus, parse_re
 from ehsmc.oracle import minimal_anchor, oracle_check
 from ehsmc.systems import Interval, load_system
 
-from conftest import POINT_SYS_TEXT, data_path
+from conftest import COMMA_SYS_TEXT, POINT_SYS_TEXT, data_path
 
 IS_EX = data_path("is_ex.isrl")
 with open(IS_EX) as fh:
@@ -36,6 +36,7 @@ MALFORMED = {
                       "  protocol s: go\n  trans s (go) t\nlabel p = s (\n",
     "deep_label.isrl": IS_EX_TEXT + "label q = " + "(" * 300 + "g1" + ")" * 300 + "\n",
     "binary.isrl": "\udcff\udcfe",
+    "comma_states.isrl": COMMA_SYS_TEXT,
 }
 
 

@@ -23,7 +23,6 @@ from ehsmc.systems import (
     config_str,
     epi_class,
     format_system,
-    global_step,
     label_holds,
     load_system,
     parse_system,
@@ -36,12 +35,12 @@ from ehsmc.abln import check_abln, user_bound
 from ehsmc.bde import check_bde
 from ehsmc.formulas import PI, parse_plus
 
-from conftest import data_path, iv
+from conftest import COMMA_SYS_TEXT, cfgs, data_path, iv
 from genutil import epi_equiv, intervals_up_to, ring_text
 
 
-def names(sys_, intervals):
-    return sorted("".join(sys_.display(c) for c in i.configs) for i in intervals)
+def names(sys_, paths):
+    return sorted("".join(sys_.display(c) for c in p) for p in paths)
 
 
 class TestRunningExample:
@@ -56,18 +55,18 @@ class TestRunningExample:
             for b in is_ex.successors(a)
         }
         assert edges == {("g1", "g2"), ("g2", "g3"), ("g2", "g1"), ("g3", "g1")}
-        assert global_step(is_ex, gs["g1"], gs["g2"])
-        assert not global_step(is_ex, gs["g1"], gs["g3"])
+        assert gs["g2"] in is_ex.successors(gs["g1"])
+        assert gs["g3"] not in is_ex.successors(gs["g1"])
 
     def test_reachable(self, is_ex, gs):
         assert set(is_ex.reachable) == {gs["g1"], gs["g2"], gs["g3"]}
 
     def test_label_membership(self, is_ex, gs):
-        assert label_holds(is_ex, "p", iv(gs, "g1", "g2", "g3"))
-        assert label_holds(is_ex, "p", iv(gs, "g1", "g2", "g1", "g2", "g3"))
-        assert not label_holds(is_ex, "p", iv(gs, "g1"))
+        assert label_holds(is_ex, "p", cfgs(gs, "g1", "g2", "g3"))
+        assert label_holds(is_ex, "p", cfgs(gs, "g1", "g2", "g1", "g2", "g3"))
+        assert not label_holds(is_ex, "p", cfgs(gs, "g1"))
         with pytest.raises(InputError):
-            label_holds(is_ex, "nope", iv(gs, "g1"))
+            label_holds(is_ex, "nope", cfgs(gs, "g1"))
 
     def test_validation_clean(self, is_ex):
         assert system_warnings(is_ex) == []
@@ -94,75 +93,75 @@ class TestIntervals:
 
 class TestAllenSuccessors:
     def test_begins(self, is_ex, gs):
-        got = names(is_ex, allen_successors(is_ex, iv(gs, "g1", "g2", "g3"), Relation.B))
+        got = names(is_ex, allen_successors(is_ex, cfgs(gs, "g1", "g2", "g3"), Relation.B))
         assert got == ["g1", "g1g2"]
 
     def test_meets(self, is_ex, gs):
-        got = names(is_ex, allen_successors(is_ex, iv(gs, "g1"), Relation.A, 3))
+        got = names(is_ex, allen_successors(is_ex, cfgs(gs, "g1"), Relation.A, 3))
         assert got == ["g1", "g1g2", "g1g2g1", "g1g2g3"]
 
     def test_next(self, is_ex, gs):
-        got = names(is_ex, allen_successors(is_ex, iv(gs, "g1", "g2"), Relation.N, 2))
+        got = names(is_ex, allen_successors(is_ex, cfgs(gs, "g1", "g2"), Relation.N, 2))
         assert got == ["g1", "g1g2", "g3", "g3g1"]
 
     def test_during_and_ends(self, is_ex, gs):
-        I = iv(gs, "g1", "g2", "g3")
+        I = cfgs(gs, "g1", "g2", "g3")
         assert names(is_ex, allen_successors(is_ex, I, Relation.D)) == ["g2"]
         assert names(is_ex, allen_successors(is_ex, I, Relation.E)) == ["g2g3", "g3"]
 
     def test_during_deduplicates(self, is_ex, gs):
-        I = iv(gs, "g1", "g2", "g1", "g2", "g3")
+        I = cfgs(gs, "g1", "g2", "g1", "g2", "g3")
         got = list(allen_successors(is_ex, I, Relation.D))
         assert len(got) == len(set(got))
 
     def test_extends(self, is_ex, gs):
-        got = names(is_ex, allen_successors(is_ex, iv(gs, "g1"), Relation.BBAR, 3))
+        got = names(is_ex, allen_successors(is_ex, cfgs(gs, "g1"), Relation.BBAR, 3))
         assert got == ["g1g2", "g1g2g1", "g1g2g3"]
 
     def test_missing_max_len(self, is_ex, gs):
         with pytest.raises(ValueError):
-            list(allen_successors(is_ex, iv(gs, "g1"), Relation.A))
+            list(allen_successors(is_ex, cfgs(gs, "g1"), Relation.A))
 
     def test_backward_relations_rejected(self, is_ex, gs):
         with pytest.raises(ValueError):
-            list(allen_successors(is_ex, iv(gs, "g1"), Relation.ABAR, 3))
+            list(allen_successors(is_ex, cfgs(gs, "g1"), Relation.ABAR, 3))
 
     def test_enumeration_matches_definitions(self, is_ex):
         # Every yielded interval satisfies the defining condition, and
         # every interval satisfying it (within the length cap) is
         # yielded. Brute-forced over all intervals of length <= 4.
-        universe = intervals_up_to(is_ex, 4)
+        universe = [J.configs for J in intervals_up_to(is_ex, 4)]
         for I in intervals_up_to(is_ex, 3):
             c = I.configs
             expected = {
-                Relation.B: {J for J in universe if len(J) < len(I) and c[: len(J)] == J.configs},
-                Relation.E: {J for J in universe if len(J) < len(I) and c[len(I) - len(J):] == J.configs},
+                Relation.B: {J for J in universe if len(J) < len(I) and c[: len(J)] == J},
+                Relation.E: {J for J in universe if len(J) < len(I) and c[len(I) - len(J):] == J},
                 Relation.D: {
                     J
                     for J in universe
                     if any(
-                        c[i : i + len(J)] == J.configs
+                        c[i : i + len(J)] == J
                         for i in range(1, len(I) - len(J))
                     )
                 },
-                Relation.A: {J for J in universe if J.first == I.last},
+                Relation.A: {J for J in universe if J[0] == I.last},
                 Relation.N: {
-                    J for J in universe if J.first in is_ex.successors(I.last)
+                    J for J in universe if J[0] in is_ex.successors(I.last)
                 },
                 Relation.BBAR: {
                     J
                     for J in universe
-                    if len(J) > len(I) and J.configs[: len(I)] == c
+                    if len(J) > len(I) and J[: len(I)] == c
                 },
             }
             for rel, want in expected.items():
-                got = set(allen_successors(is_ex, I, rel, 4))
+                got = set(allen_successors(is_ex, c, rel, 4))
                 assert got == want, (rel, names(is_ex, got), names(is_ex, want))
 
     def test_deterministic_order(self, is_ex, gs):
-        I = iv(gs, "g2")
-        a = [J.configs for J in allen_successors(is_ex, I, Relation.A, 3)]
-        b = [J.configs for J in allen_successors(is_ex, I, Relation.A, 3)]
+        I = cfgs(gs, "g2")
+        a = list(allen_successors(is_ex, I, Relation.A, 3))
+        b = list(allen_successors(is_ex, I, Relation.A, 3))
         assert a == b
         lengths = [len(c) for c in a]
         assert lengths == sorted(lengths)
@@ -212,28 +211,29 @@ config ct = (t)
 
 class TestEpistemic:
     def test_blind_agent_relates_same_length(self, is_ex, gs):
-        assert iv(gs, "g2", "g3") in epi_class(is_ex, iv(gs, "g1", "g2"), 0)
-        assert iv(gs, "g1", "g2") not in epi_class(is_ex, iv(gs, "g1"), 0)
+        assert cfgs(gs, "g2", "g3") in epi_class(is_ex, cfgs(gs, "g1", "g2"), 0)
+        assert cfgs(gs, "g1", "g2") not in epi_class(is_ex, cfgs(gs, "g1"), 0)
 
     def test_observant_agent_distinguishes(self, is_ex, gs):
-        assert iv(gs, "g1", "g2") in epi_class(is_ex, iv(gs, "g1", "g2"), 1)
-        assert iv(gs, "g2", "g3") not in epi_class(is_ex, iv(gs, "g1", "g2"), 1)
+        assert cfgs(gs, "g1", "g2") in epi_class(is_ex, cfgs(gs, "g1", "g2"), 1)
+        assert cfgs(gs, "g2", "g3") not in epi_class(is_ex, cfgs(gs, "g1", "g2"), 1)
 
     def test_classes(self, is_ex, gs):
-        assert names(is_ex, epi_class(is_ex, iv(gs, "g1"), 0)) == ["g1", "g2", "g3"]
-        assert names(is_ex, epi_class(is_ex, iv(gs, "g1"), 1)) == ["g1"]
-        assert names(is_ex, epi_class(is_ex, iv(gs, "g1", "g2"), 1)) == ["g1g2"]
+        assert names(is_ex, epi_class(is_ex, cfgs(gs, "g1"), 0)) == ["g1", "g2", "g3"]
+        assert names(is_ex, epi_class(is_ex, cfgs(gs, "g1"), 1)) == ["g1"]
+        assert names(is_ex, epi_class(is_ex, cfgs(gs, "g1", "g2"), 1)) == ["g1g2"]
 
     def test_common_classes(self, is_ex, gs):
-        assert names(is_ex, common_class(is_ex, iv(gs, "g1"), {0, 1})) == ["g1", "g2", "g3"]
-        assert names(is_ex, common_class(is_ex, iv(gs, "g1"), {1})) == ["g1"]
+        assert names(is_ex, common_class(is_ex, cfgs(gs, "g1"), {0, 1})) == ["g1", "g2", "g3"]
+        assert names(is_ex, common_class(is_ex, cfgs(gs, "g1"), {1})) == ["g1"]
 
     def test_singleton_group_equals_class(self, is_ex):
         for I in intervals_up_to(is_ex, 2):
-            assert common_class(is_ex, I, {0}) == epi_class(is_ex, I, 0) | {I}
+            c = I.configs
+            assert common_class(is_ex, c, {0}) == epi_class(is_ex, c, 0) | {c}
 
     def test_equivalence_relation(self, is_ex):
-        universe = intervals_up_to(is_ex, 3)
+        universe = [J.configs for J in intervals_up_to(is_ex, 3)]
         for agent in (0, 1):
             for I in universe:
                 members = epi_class(is_ex, I, agent)
@@ -245,14 +245,14 @@ class TestEpistemic:
 
     def test_common_class_closed(self, is_ex):
         for I in intervals_up_to(is_ex, 2):
-            closure = common_class(is_ex, I, {0, 1})
+            closure = common_class(is_ex, I.configs, {0, 1})
             for member in closure:
                 for agent in (0, 1):
                     assert epi_class(is_ex, member, agent) <= closure
 
     def test_bad_agent_index(self, is_ex, gs):
         with pytest.raises(IndexError):
-            epi_class(is_ex, iv(gs, "g1"), 7)
+            epi_class(is_ex, cfgs(gs, "g1"), 7)
 
 
 def broken(index=None, labelling=None, aliases=None, **changes):
@@ -287,6 +287,9 @@ MALFORMED = [
     pytest.param(broken(1, transitions=(("l1", ("a9", "eps"), "l2"),)),
                  "agent Proc: pattern slot 0 names unknown action 'a9'",
                  id="pattern-action"),
+    pytest.param(lambda s: ([LocalComponent("A", ("a", "a,b"), "a", ("go",), {}, ()),
+                             LocalComponent("B", ("b,c", "c"), "c", ("go",), {}, ())], {}, {}),
+                 "agent A: state 'a,b' contains ',', '(' or ')'", id="reserved-character"),
     pytest.param(broken(aliases={"g": ("l0",)}),
                  "config g: ('l0',) is not a configuration", id="alias-arity"),
     pytest.param(broken(aliases={"g": ("l0", "l9")}),
@@ -332,13 +335,16 @@ class TestValidation:
         assert exc.value.line == 2
         with pytest.raises(SystemParseError, match="line 1: at least one agent"):
             parse_system("# no agent\n")
+        with pytest.raises(SystemParseError) as exc:
+            parse_system(COMMA_SYS_TEXT)
+        assert str(exc.value) == "line 2: agent A: state 'a,b' contains ',', '(' or ')'"
 
     def test_relabelling_shares_the_step_relation(self, is_ex, gs):
         relabelled = is_ex.with_labelling({"q": Sym(config_str(gs["g2"]))})
         assert relabelled._succ is is_ex._succ
         assert relabelled.alphabet is is_ex.alphabet
         assert relabelled.variables == ("q",) and is_ex.variables == ("p",)
-        assert label_holds(relabelled, "q", iv(gs, "g2"))
+        assert label_holds(relabelled, "q", cfgs(gs, "g2"))
         with pytest.raises(InputError, match="outside the configuration space"):
             is_ex.with_labelling({"q": Sym("(l0,l9)")})
         assert is_ex.variables == ("p",)
