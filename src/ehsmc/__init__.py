@@ -45,7 +45,6 @@ from .formulas import (
     Fragment,
     FragmentError,
     eliminate_L,
-    expand_N,
     fis_bound,
     format_formula,
     fragment_of,
@@ -97,7 +96,6 @@ __all__ = [
     "denotes",
     "eliminate_L",
     "epi_class",
-    "expand_N",
     "fis_bound",
     "format_formula",
     "format_system",

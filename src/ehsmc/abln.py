@@ -6,20 +6,19 @@ existential searches are capped: by the exact interval-type bound
 user-chosen cap (user mode). Two escape hatches keep practical queries
 exact: modal-free operands are decided completely by reachability in
 the product of the step relation with the per-variable automata, and
-enumerations that provably cover every path (no reachable cycle) are
-complete whatever the cap. Anything else is honestly reported as a
-bounded verdict.
+enumerations whose paths run out within the cap are complete whatever
+the cap. Anything else is honestly reported as a bounded verdict.
 
-LITERAL and TIGHT mode refuse to run searches whose enumeration
-frontier would exceed a ceiling, instead of silently truncating; the
-user mode is taken as an explicit instruction and is never guarded.
+In every mode, a search whose enumeration frontier would exceed a
+ceiling is refused instead of silently truncated; one layered count of
+the paths decides both the refusal and whether they ran out.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bde import Holds, evaluate
 from .errors import InputError
@@ -224,61 +223,34 @@ def regular_witness_search(
 # ---------------------------------------------------------------------------
 # Feasibility guard
 
-def _cycle_reachable(sys: InterpretedSystem, starts: Iterable[GlobalConfig]) -> bool:
-    reach: Set[GlobalConfig] = set()
-    stack = list(starts)
-    while stack:
-        g = stack.pop()
-        if g not in reach:
-            reach.add(g)
-            stack.extend(sys.successors(g))
-    indegree = {g: 0 for g in reach}
-    for g in reach:
-        for s in sys.successors(g):
-            indegree[s] += 1
-    queue = [g for g, d in indegree.items() if d == 0]
-    removed = 0
-    while queue:
-        g = queue.pop()
-        removed += 1
-        for s in sys.successors(g):
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                queue.append(s)
-    return removed != len(reach)
-
-
-def _count_paths(
+def _frontier(
     sys: InterpretedSystem,
     starts: Sequence[GlobalConfig],
     max_len: int,
     ceiling: int,
-) -> int:
-    """Paths of length 1..max_len beginning in starts, exactly if the
-    count stays within the ceiling, else ceiling + 1."""
-    if max_len <= 0 or not starts:
-        return 0
-    if max_len > ceiling + len(sys.reachable) + 1:
-        # a reachable cycle alone yields one path per length
-        if _cycle_reachable(sys, starts):
-            return ceiling + 1
-        max_len = min(max_len, len(sys.reachable) + 1)
-    counts: Dict[GlobalConfig, int] = {}
+) -> Tuple[int, bool]:
+    """(count, exhausted), layer by layer over the paths beginning in
+    starts: count is the number of length 1..max_len, exactly if it stays
+    within the ceiling, else ceiling + 1; exhausted says that no longer
+    path exists, so those are all of them."""
+    layer: Dict[GlobalConfig, int] = {}
     for g in starts:
-        counts[g] = counts.get(g, 0) + 1
-    total = sum(counts.values())
-    for _ in range(max_len - 1):
-        if total > ceiling:
-            return ceiling + 1
+        layer[g] = layer.get(g, 0) + 1
+    total = depth = 0
+    while layer and depth < max_len:
+        depth += 1
+        total += sum(layer.values())
+        # a path longer than the reachable set repeats a configuration,
+        # and that cycle yields a path of every remaining length
+        if total > ceiling or (depth > len(sys.reachable)
+                               and total + max_len - depth > ceiling):
+            return ceiling + 1, False
         grown: Dict[GlobalConfig, int] = {}
-        for g, c in counts.items():
+        for g, c in layer.items():
             for s in sys.successors(g):
                 grown[s] = grown.get(s, 0) + c
-        if not grown:
-            break
-        counts = grown
-        total += sum(counts.values())
-    return min(total, ceiling + 1)
+        layer = grown
+    return total, not layer
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +266,8 @@ def check_abln(
     """Bounded verdict for a meets/begun-by/later/next formula (later
     is eliminated on entry; begins/during/ends and every backward
     modality are rejected)."""
+    if frontier_ceiling < 1:
+        raise InputError("frontier ceiling must be a positive integer")
     root = prepare(sys, f, Fragment.ABLN)
     configs = validate_interval(sys, interval)
     insufficient: List[int] = []
@@ -312,8 +286,7 @@ def check_abln(
                 else:
                     bound = fis_bound if mode.kind == "literal" else tight_bound
                     cap = bound(sys, operand, _HUGE)
-                sufficient = mode.kind == "literal" or fis_bound(sys, operand, cap + 1) <= cap
-                info = (False, cap, sufficient)
+                info = (False, cap, fis_bound(sys, operand, cap + 1) <= cap)
             operands[id(operand)] = info
         return info
 
@@ -325,19 +298,17 @@ def check_abln(
                                           operand) is not None
         max_len = len(cfgs) + cap
         prefix, starts = forward_frame(sys, cfgs, node.relation)
-        if mode.kind != "user":
-            estimate = _count_paths(sys, starts, max_len - len(prefix), frontier_ceiling)
-            if estimate > frontier_ceiling:
-                raise BoundInfeasibleError(
-                    f"<{node.relation.value}> {format_formula(operand)}: enumeration "
-                    f"frontier exceeds the ceiling of {frontier_ceiling} intervals; "
-                    f"raise the ceiling, use an explicit user bound, or shrink the "
-                    f"formula",
-                    estimate,
-                    frontier_ceiling,
-                )
-        # with no reachable cycle, a cap above the reachable count covers every path
-        if not sufficient and (cap <= len(sys.reachable) or _cycle_reachable(sys, starts)):
+        estimate, exhausted = _frontier(sys, starts, max_len - len(prefix),
+                                        frontier_ceiling)
+        if estimate > frontier_ceiling:
+            raise BoundInfeasibleError(
+                f"<{node.relation.value}> {format_formula(operand)}: enumeration "
+                f"frontier exceeds the ceiling of {frontier_ceiling} intervals; "
+                f"raise the ceiling, use a smaller user bound, or shrink the formula",
+                estimate,
+                frontier_ceiling,
+            )
+        if not (sufficient or exhausted):
             insufficient.append(cap)
         for candidate in allen_successors(sys, cfgs, node.relation, max_len):
             if holds(operand, candidate):

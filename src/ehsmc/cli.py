@@ -368,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--frontier-ceiling", type=int, default=DEFAULT_FRONTIER_CEILING,
-        help="feasibility guard ceiling for computed bound modes",
+        help="feasibility guard ceiling: the most intervals one bounded "
+        "search may enumerate, in every bound mode",
     )
     check.set_defaults(fn=cmd_check)
 

@@ -426,51 +426,25 @@ def normalize(f: Formula) -> Formula:
     return transform(f, _normalize_step)
 
 
-def _modal_rewrite(
-    relations: Set[Relation], build: Callable[[Relation, Formula], Formula]
-) -> Callable[[Formula], Formula]:
-    """Step rewriting <X>g into build(X, g) for X in `relations`, and the
-    box [X]g into the dual !build(X, !g)."""
-
-    def step(f: Formula) -> Formula:
-        if isinstance(f, (Diamond, Box)) and f.relation in relations:
-            if isinstance(f, Diamond):
-                return build(f.relation, f.sub)
-            return Not(build(f.relation, Not(f.sub)))
+def _eliminate_L_step(f: Formula) -> Formula:
+    """<L>g into <A>(!pi & <A>g), <Lbar>g likewise through Abar, and a
+    box [X]g into the dual of the rewritten <X>!g."""
+    if not isinstance(f, (Diamond, Box)) or f.relation not in (Relation.L, Relation.LBAR):
         return f
+    meets = Relation.A if f.relation is Relation.L else Relation.ABAR
 
-    return step
+    def via_meets(g: Formula) -> Formula:
+        return Diamond(meets, And(Not(PI), Diamond(meets, g)))
 
-
-def _via_meets(relation: Relation, g: Formula) -> Formula:
-    meets = Relation.A if relation is Relation.L else Relation.ABAR
-    return Diamond(meets, And(Not(PI), Diamond(meets, g)))
-
-
-def _via_meets_and_begins(relation: Relation, g: Formula) -> Formula:
-    bridge = And(Not(PI), And(Box(Relation.B, Box(Relation.B, BOT)),
-                              Diamond(Relation.A, g)))
-    return Diamond(Relation.A, bridge)
-
-
-_eliminate_L_step = _modal_rewrite({Relation.L, Relation.LBAR}, _via_meets)
-_expand_N_step = _modal_rewrite({Relation.N}, _via_meets_and_begins)
+    if isinstance(f, Diamond):
+        return via_meets(f.sub)
+    return Not(via_meets(Not(f.sub)))
 
 
 def eliminate_L(f: Formula) -> Formula:
     """Rewrite every later-modality in terms of the meets-modality:
     <L>g becomes <A>(!pi & <A>g), and dually for boxes and inverses."""
     return transform(f, _eliminate_L_step)
-
-
-def expand_N(f: Formula) -> Formula:
-    """Rewrite the next-modality through meets and begins: <N>g becomes
-    <A>(!pi & [B][B]false & <A>g). The boxed middle conjunct pins the
-    bridging interval to length exactly two (no strict prefix of a
-    strict prefix), so the target starts one step after the right
-    endpoint. Used for cross-validation only; the bounded checker keeps
-    the native modality."""
-    return transform(f, _expand_N_step)
 
 
 def _resolve_step(sys: InterpretedSystem) -> Callable[[Formula], Formula]:

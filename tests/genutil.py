@@ -27,6 +27,7 @@ from ehsmc.formulas import (
     Or,
     Var,
     children,
+    transform,
 )
 from ehsmc.systems import InterpretedSystem, Interval, Path, Relation
 
@@ -130,6 +131,29 @@ def modal_depth(f: Formula) -> int:
     the root to a leaf."""
     here = isinstance(f, (K, C, Diamond, Box))
     return here + max((modal_depth(c) for c in children(f)), default=0)
+
+
+def expand_N(f: Formula) -> Formula:
+    """Rewrite the next-modality through meets and begins: <N>g becomes
+    <A>(!pi & [B][B]false & <A>g), and [N]g the dual of the rewritten
+    <N>!g. The boxed middle conjunct pins the bridging interval to length
+    exactly two (no strict prefix of a strict prefix), so the target
+    starts one step after the right endpoint. The checkers keep the
+    native modality; this identity cross-validates it."""
+
+    def via_meets_and_begins(g: Formula) -> Formula:
+        bridge = And(Not(PI), And(Box(Relation.B, Box(Relation.B, BOT)),
+                                  Diamond(Relation.A, g)))
+        return Diamond(Relation.A, bridge)
+
+    def step(node: Formula) -> Formula:
+        if not isinstance(node, (Diamond, Box)) or node.relation is not Relation.N:
+            return node
+        if isinstance(node, Diamond):
+            return via_meets_and_begins(node.sub)
+        return Not(via_meets_and_begins(Not(node.sub)))
+
+    return transform(f, step)
 
 
 def intervals_up_to(sys: InterpretedSystem, max_len: int) -> List[Interval]:

@@ -17,12 +17,14 @@ from ehsmc.abln import (
     user_bound,
 )
 from ehsmc.errors import InputError
-from ehsmc.formulas import Diamond, FragmentError, fis_bound, parse_plus, tight_bound
+from ehsmc.formulas import (C, Diamond, FragmentError, K, fis_bound, parse_plus,
+                            relations_of, subformulas, tight_bound)
 from ehsmc.oracle import minimal_anchor, oracle_check
-from ehsmc.systems import Interval, Relation, parse_system, validate_interval
+from ehsmc.systems import (Interval, Relation, format_system, parse_system,
+                           validate_interval)
 
 from conftest import iv
-from genutil import intervals_up_to
+from genutil import abln_kit, all_formulas, intervals_up_to, modal_depth
 from test_acceptance import _boolean_holds, _branching_system, _random_boolean
 
 SOLO_TEXT = """\
@@ -298,9 +300,28 @@ class TestFragmentAndErrors:
                            frontier_ceiling=ceiling)
             assert e.value.estimate == ceiling + 1
 
-    def test_user_bound_is_never_guarded(self, is_ex, gs):
-        v = check_abln(is_ex, iv(gs, "g1"), parse_plus("<A> <A> p"), user_bound(3))
-        assert v == Verdict(True, bounded_at=3)
+    def test_user_bound_is_guarded(self, solo_bare):
+        # a user cap meets the same ceiling as a computed one: cap 8 is
+        # the literal bound of <A> true, and both count 9 paths
+        g = solo_bare.config_by_name("g")
+        f = parse_plus("<A> <A> true")
+        estimates = []
+        for mode in (LITERAL_BOUND, user_bound(8)):
+            with pytest.raises(BoundInfeasibleError) as e:
+                check_abln(solo_bare, Interval((g,)), f, mode, frontier_ceiling=3)
+            estimates.append(e.value.estimate)
+        assert estimates == [4, 4]
+        v = check_abln(solo_bare, Interval((g,)), f, user_bound(2), frontier_ceiling=3)
+        assert v == Verdict(True, bounded_at=2)
+
+    @pytest.mark.parametrize("ceiling", [0, -4])
+    @pytest.mark.parametrize("mode", [LITERAL_BOUND, TIGHT_BOUND, user_bound(2)])
+    def test_ceiling_must_be_positive(self, is_ex, gs, mode, ceiling):
+        # rejected before any search, even where none would run
+        for text in ("<A> K{0} p", "p"):
+            with pytest.raises(InputError, match="frontier ceiling must be a positive"):
+                check_abln(is_ex, iv(gs, "g1"), parse_plus(text), mode,
+                           frontier_ceiling=ceiling)
 
 
 class TestConclusiveness:
@@ -329,6 +350,76 @@ class TestConclusiveness:
         assert check_abln(chain, Interval((a,)), f, user_bound(1)) == Verdict(
             False, bounded_at=1
         )
+
+    def test_exhausted_enumeration_is_conclusive(self, chain):
+        # from a, the paths a, ab, abc run out within cap 2, so the cap
+        # covers every related interval although it is below the bound
+        a, c = chain.config_by_name("a"), chain.config_by_name("c")
+        f = parse_plus("<A> K{0} x")
+        assert fis_bound(chain, parse_plus("K{0} x")) > 2
+        assert check_abln(chain, Interval((a,)), f, user_bound(2)) == Verdict(True)
+        # c permits no action: <N> relates it to nothing at all
+        for mode in (LITERAL_BOUND, TIGHT_BOUND, user_bound(1)):
+            v = check_abln(chain, Interval((c,)), parse_plus("<N> K{0} x"), mode)
+            assert v == Verdict(False)
+
+    def test_deadlocking_systems_match_oracle(self):
+        # branching systems where some states permit no action: wherever a
+        # verdict is conclusive in any mode, the oracle agrees well beyond
+        # every user cap used here. No K or C sits above a diamond, where
+        # the oracle's own bound would cut witnesses of long-history members.
+        # The low ceiling refuses literal caps of a million on a cycle that
+        # adds one path per length: the default ceiling lets such a search
+        # through, to enumerate a million ever longer paths
+        rng = random.Random(4242)
+        formulas = [f for f in all_formulas(4, *abln_kit()) if modal_depth(f) == 2
+                    and not any(isinstance(g, (K, C)) and relations_of(g.sub)
+                                for g in subformulas(f))]
+        modes = [LITERAL_BOUND, TIGHT_BOUND, user_bound(1), user_bound(2), user_bound(3)]
+        checked = bounded = 0
+        for _ in range(40):
+            sys_ = _deadlocking_system(rng)
+            for f in rng.sample(formulas, 60):
+                start = Interval((rng.choice(sys_.reachable),))
+                aI = minimal_anchor(sys_, start)
+                want = oracle_check(sys_, aI, f, aI.total_length + 6)
+                for mode in modes:
+                    try:
+                        v = check_abln(sys_, start, f, mode, frontier_ceiling=500)
+                    except BoundInfeasibleError:
+                        continue
+                    if v.conclusive:
+                        assert v.holds == want, (format_system(sys_), f, mode)
+                        checked += 1
+                    else:
+                        bounded += 1
+        # most of these enumerations run out within the cap, so few verdicts
+        # stay bounded: 828 of 11,448, against 3,309 if no cap below the
+        # bound counted as complete
+        assert checked > 10 * bounded > 0
+
+
+def _deadlocking_system(rng: random.Random):
+    """One branching agent with two actions, some of whose reachable
+    states permit none, and a label over its configurations."""
+    while True:
+        n = rng.choice((2, 3, 3))
+        stuck = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        lines = ["agent A", "  states " + " ".join(f"s{i}" for i in range(n)),
+                 "  init s0", "  actions a1 a2"]
+        for i in sorted(set(range(n)) - stuck):
+            lines.append(f"  protocol s{i}: a1 a2")
+            lines += [f"  trans s{i} ({a},*) s{rng.randrange(n)}" for a in ("a1", "a2")]
+        lines += ["agent B", "  states d", "  init d", "  actions ok",
+                  "  protocol d: ok", "  trans d (*,*) d"]
+        names = [f"c{i}" for i in range(n)]
+        lines += [f"config c{i} = (s{i},d)" for i in range(n)]
+        label = rng.choice([rng.choice(names), rng.choice(names) + "*",
+                            "({} + {})*".format(*rng.sample(names, 2)),
+                            "{} {}*".format(rng.choice(names), rng.choice(names))])
+        sys_ = parse_system("\n".join(lines + [f"label p = {label}"]) + "\n")
+        if any(not sys_.successors(g) for g in sys_.reachable):
+            return sys_
 
 
 class TestAgainstOracle:

@@ -40,7 +40,6 @@ from ehsmc.formulas import (
     Top,
     Var,
     eliminate_L,
-    expand_N,
     fis_bound,
     format_formula,
     parse_plus,
@@ -71,7 +70,8 @@ from ehsmc.systems import (
 )
 
 from conftest import POINT_SYS_TEXT, cfgs, iv
-from genutil import all_formulas, bde_kit, intervals_up_to, modal_depth, random_formula
+from genutil import (all_formulas, bde_kit, expand_N, intervals_up_to, modal_depth,
+                     random_formula)
 
 
 def _stamp(number: int, started: float, budget: float, detail: str) -> None:

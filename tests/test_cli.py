@@ -155,6 +155,8 @@ class TestInputErrors:
         ["export-dot", DATA_DIR, "tg"],
         ["oracle", IS_EX, "<A> p", "--bound", "-5"],
         ["check", IS_EX, "<A> p", "--engine", "abln", "--bound", "0"],
+        ["check", IS_EX, "<A> K{0} p", "--frontier-ceiling", "0"],
+        ["check", IS_EX, "<A> p", "--bound", "2", "--frontier-ceiling", "-4"],
         ["reduce", IS_EX, "K{9} p", "--direction", "to-re"],
         ["reduce", IS_EX, "{T zz}", "--direction", "to-plus"],
         ["export-dot", IS_EX, "mct:K{Ghost} p:2"],

@@ -97,6 +97,8 @@ def command_lines(draw, systems):
         argv += ["--interval", draw(st.sampled_from(INTERVALS))]
     if command in ("check", "oracle") and draw(st.booleans()):
         argv += ["--bound", str(draw(st.integers(-3, 8)))]
+    if command == "check" and draw(st.booleans()):
+        argv += ["--frontier-ceiling", str(draw(st.integers(-2, 6)))]
     if command == "check":
         argv += draw(st.sampled_from(
             [[], ["--engine", "bde"], ["--engine", "abln"], ["--engine", "oracle"]]))

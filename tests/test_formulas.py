@@ -22,7 +22,6 @@ from ehsmc.formulas import (
     Or,
     Var,
     eliminate_L,
-    expand_N,
     fis_bound,
     fis_bound_saturating,
     format_formula,
@@ -43,7 +42,7 @@ from ehsmc.formulas import (
 from ehsmc.regexes import Concat, Star, Sym
 from ehsmc.systems import LocalComponent, InterpretedSystem, Relation
 
-from genutil import modal_depth, random_formula
+from genutil import expand_N, modal_depth, random_formula
 
 
 class TestParsing:

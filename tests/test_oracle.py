@@ -194,7 +194,7 @@ class TestRewriteAgreement:
                 assert oracle_check(is_ex, aI, f, 6) == oracle_check(is_ex, aI, g, 6)
 
     def test_next_identity_on_sampled_intervals(self, is_ex):
-        from ehsmc.formulas import expand_N
+        from genutil import expand_N
 
         for text in ("<N> p", "<N> pi", "[N] pi", "<N> !p"):
             f = parse_plus(text)
