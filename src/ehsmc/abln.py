@@ -350,11 +350,11 @@ def compute_mct(
     root = prepare(sys, f, Fragment.ABLN)
     configs = validate_interval(sys, interval)
 
-    def related(modal: Formula, cfgs: Path) -> List[Path]:
+    def related(modal: Formula, cfgs: Path) -> Sequence[Path]:
         if isinstance(modal, K):
-            return sorted(epi_class(sys, cfgs, modal.agent))
+            return epi_class(sys, cfgs, modal.agent)
         if isinstance(modal, C):
-            return sorted(common_class(sys, cfgs, modal.group))
+            return common_class(sys, cfgs, modal.group)
         return list(allen_successors(sys, cfgs, modal.relation, max_len=horizon))
 
     def build(node: Formula, cfgs: Path) -> Mct:

@@ -11,6 +11,7 @@ by `normalize`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -181,52 +182,50 @@ _LEVELS = tuple(_BINARY)
 # stack. 100 leaves the caller about 150 frames.
 MAX_FORMULA_DEPTH = 100
 
+# One token: after optional whitespace, a modality, a K or C prefix with
+# its agent set, a regex atom, a connective or parenthesis, a name, or any
+# other character, which the parser reports at its position. An atom runs
+# to the first "}", or to the end of the text when there is none. A K or C
+# before braces that hold no agent set is a name before an atom, which is
+# rejected as it would be after any other name.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<diamond><\s*\w+\s*>)|(?P<box>\[\s*\w+\s*\])"
+    r"|(?P<knows>[KC]\s*\{\s*\w+\s*(?:,\s*\w+\s*)*\})|(?P<atom>\{[^}]*\}?)"
+    r"|(?P<op>->|[!&|()])|(?P<name>\w+)|(?P<bad>\S))"
+)
+
 
 class _FormulaParser:
-    """Recursive descent over `-> | & unary primary`, tightest last.
+    """Recursive descent over `-> | & unary primary`, tightest last, on
+    the (kind, text, position) tokens of `_TOKEN`.
 
     `->` associates to the right; `&` and `|` chains are folded to the
     right as well so printing and re-parsing agree node for node.
     """
 
     def __init__(self, text: str, regex_atoms: bool):
-        self.text = text
-        self.pos = 0
+        self.tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+                       for m in _TOKEN.finditer(text)]
+        self.tokens.append(("eof", "", len(text)))
+        self.index = 0
         self.regex_atoms = regex_atoms
         self.parens = 0
 
-    def error(self, message: str, pos: Optional[int] = None) -> FormulaSyntaxError:
-        return FormulaSyntaxError(message, self.pos if pos is None else pos)
+    def peek(self) -> Tuple[str, str, int]:
+        return self.tokens[self.index]
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        return self.text[start:self.pos]
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+    def consume(self) -> Tuple[str, str, int]:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
 
     def parse(self) -> Formula:
         f = self.parse_binary()
-        if self.peek():
-            raise self.error(f"unexpected {self.peek()!r}")
+        kind, value, pos = self.peek()
+        if kind != "eof":
+            raise FormulaSyntaxError(f"unexpected {value!r}", pos)
         if formula_depth(f) > MAX_FORMULA_DEPTH:
-            raise self.error(f"nested deeper than {MAX_FORMULA_DEPTH} levels", 0)
+            raise FormulaSyntaxError(f"nested deeper than {MAX_FORMULA_DEPTH} levels", 0)
         return f
 
     def parse_binary(self, level: int = 0) -> Formula:
@@ -235,12 +234,9 @@ class _FormulaParser:
         if level == len(_BINARY):
             return self.parse_unary()
         node = _LEVELS[level]
-        op = _BINARY[node]
         parts = [self.parse_binary(level + 1)]
-        while self.peek() == op[0]:
-            if not self.text.startswith(op, self.pos):
-                raise self.error(f"expected {op!r}")
-            self.pos += len(op)
+        while self.peek()[:2] == ("op", _BINARY[node]):
+            self.index += 1
             parts.append(self.parse_binary(level + 1))
         return fold_right(node, parts)
 
@@ -249,91 +245,68 @@ class _FormulaParser:
         costs no recursion."""
         heads: List[Callable[[Formula], Formula]] = []
         while True:
-            ch = self.peek()
-            start = self.pos
-            if ch == "!":
-                self.pos += 1
+            kind, value, pos = self.peek()
+            if (kind, value) == ("op", "!"):
                 heads.append(Not)
-            elif ch == "<" or ch == "[":
-                self.pos += 1
-                name = self.take_ident()
-                self.expect(">" if ch == "<" else "]")
+            elif kind in ("diamond", "box"):
+                name = value[1:-1].strip()
                 try:
                     relation = Relation(name)
                 except ValueError:
-                    raise self.error(f"unknown modality {name!r}", start) from None
-                heads.append(partial(Diamond if ch == "<" else Box, relation))
-            # K/C followed by an agent set; any other name is read again as an atom
-            elif ch in ("K", "C") and self.take_ident() == ch and self.peek() == "{":
-                agents = self.parse_agent_set()
-                if ch == "C":
+                    raise FormulaSyntaxError(f"unknown modality {name!r}", pos) from None
+                heads.append(partial(Diamond if kind == "diamond" else Box, relation))
+            elif kind == "knows":
+                # an agent is an index when it is ASCII digits, else a name
+                names = value[value.index("{") + 1:-1].split(",")
+                agents = [int(a) if a.isascii() and a.isdigit() else a
+                          for a in map(str.strip, names)]
+                if value[0] == "C":
                     heads.append(partial(C, tuple(agents)))
                 elif len(agents) != 1:
-                    raise self.error("K takes exactly one agent", start)
+                    raise FormulaSyntaxError("K takes exactly one agent", pos)
                 else:
                     heads.append(partial(K, agents[0]))
             else:
-                self.pos = start
                 break
+            self.index += 1
         f = self.parse_primary()
         for head in reversed(heads):
             f = head(f)
         return f
 
     def parse_primary(self) -> Formula:
-        ch = self.peek()
-        if ch == "(":
+        kind, value, pos = self.consume()
+        if (kind, value) == ("op", "("):
             self.parens += 1
             if self.parens > MAX_FORMULA_DEPTH:
-                raise self.error(f"nested deeper than {MAX_FORMULA_DEPTH} levels")
-            self.pos += 1
+                raise FormulaSyntaxError(f"nested deeper than {MAX_FORMULA_DEPTH} levels", pos)
             inner = self.parse_binary()
-            self.expect(")")
+            kind, value, pos = self.consume()
+            if (kind, value) != ("op", ")"):
+                raise FormulaSyntaxError("expected ')'", pos)
             self.parens -= 1
             return inner
-        if ch == "{":
+        if kind == "atom":
             if not self.regex_atoms:
-                raise self.error("regex atoms need the regex-atom variant")
-            return self.parse_atom()
-        if not (ch.isalnum() or ch == "_"):
-            raise self.error("expected a formula")
-        name = self.take_ident()
-        if name in _KEYWORDS:
-            return _KEYWORDS[name]
+                raise FormulaSyntaxError("regex atoms need the regex-atom variant", pos)
+            if not value.endswith("}"):
+                raise FormulaSyntaxError("unterminated regex atom", pos)
+            # The regex parser recurses on top of this one, so the atom's
+            # parentheses count toward the formula's nesting budget.
+            nesting = max(accumulate((ch == "(") - (ch == ")") for ch in value), default=0)
+            if self.parens + nesting > MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(f"nested deeper than {MAX_FORMULA_DEPTH} levels", pos)
+            try:
+                return Atom(parse_regex(value[1:-1], predicate_mode=True))
+            except InputError as exc:
+                raise FormulaSyntaxError(f"bad regex atom: {exc}", pos) from exc
+        if kind != "name":
+            raise FormulaSyntaxError("expected a formula", pos)
+        if value in _KEYWORDS:
+            return _KEYWORDS[value]
         if self.regex_atoms:
-            return Atom(Sym(name))
-        return Var(name)
-
-    def parse_agent_set(self) -> List[AgentRef]:
-        self.expect("{")
-        agents: List[AgentRef] = []
-        while True:
-            name = self.take_ident()
-            agents.append(int(name) if name.isdigit() else name)
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-                continue
-            self.expect("}")
-            return agents
-
-    def parse_atom(self) -> Formula:
-        open_pos = self.pos
-        close = self.text.find("}", self.pos)
-        if close < 0:
-            raise self.error("unterminated regex atom", open_pos)
-        inner = self.text[self.pos + 1:close]
-        # The regex parser recurses on top of this one, so the atom's
-        # parentheses count toward the formula's nesting budget.
-        nesting = max(accumulate((ch == "(") - (ch == ")") for ch in inner), default=0)
-        if self.parens + nesting > MAX_FORMULA_DEPTH:
-            raise self.error(f"nested deeper than {MAX_FORMULA_DEPTH} levels", open_pos)
-        try:
-            expr = parse_regex(inner, predicate_mode=True)
-        except InputError as exc:
-            raise self.error(f"bad regex atom: {exc}", open_pos) from exc
-        self.pos = close + 1
-        return Atom(expr)
+            return Atom(Sym(value))
+        return Var(value)
 
 
 def parse_plus(text: str) -> Formula:

@@ -408,8 +408,10 @@ def allen_successors(
 # Epistemic structure
 
 
-def epi_class(sys: InterpretedSystem, configs: Path, agent: int) -> Set[Path]:
-    """All valid intervals the agent cannot distinguish from this one."""
+def epi_class(sys: InterpretedSystem, configs: Path, agent: int) -> Tuple[Path, ...]:
+    """All valid intervals the agent cannot distinguish from this one, in
+    lexicographic order: the layers extend sorted paths by sorted
+    successors."""
     if not (0 <= agent < len(sys.agents)):
         raise IndexError(f"agent index {agent} out of range")
     target = [g[agent] for g in configs]
@@ -421,25 +423,25 @@ def epi_class(sys: InterpretedSystem, configs: Path, agent: int) -> Set[Path]:
             for nxt in sys.successors(path[-1])
             if nxt[agent] == want
         ]
-    return set(partial)
+    return tuple(partial)
 
 
-def common_class(sys: InterpretedSystem, configs: Path, group: Iterable[int]) -> Set[Path]:
+def common_class(sys: InterpretedSystem, configs: Path, group: Iterable[int]) -> Tuple[Path, ...]:
     """Closure of the interval under the epistemic classes of every
-    agent in the group (the common-knowledge reachability set)."""
+    agent in the group (the common-knowledge reachability set), in
+    breadth-first order from the interval."""
     agents = sorted(set(group))
     if not agents:
         raise ValueError("agent group must be non-empty")
-    out: Set[Path] = {configs}
+    seen = {configs}
     queue = [configs]
-    while queue:
-        current = queue.pop()
+    for current in queue:  # also visits what is appended on the way
         for i in agents:
             for other in epi_class(sys, current, i):
-                if other not in out:
-                    out.add(other)
+                if other not in seen:
+                    seen.add(other)
                     queue.append(other)
-    return out
+    return tuple(queue)
 
 
 # ---------------------------------------------------------------------------

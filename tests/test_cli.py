@@ -45,6 +45,30 @@ def run_process(*argv, **env):
     )
 
 
+# B cannot tell c0 from c1: <L> p fails outright at the deadlocked c1 and
+# needs an infeasible bounded search at c0, so the status of K{1} <L> p
+# and C{0,1} <L> p follows whichever member of the class is visited first
+HASH_SEED_SYS_TEXT = """\
+agent A
+  states s0 s1 s2
+  init s0
+  actions a1 a2
+  protocol s0: a1 a2
+  trans s0 (a1,go) s1
+  trans s0 (a2,go) s0
+agent B
+  states d
+  init d
+  actions go
+  protocol d: go
+  trans d (*,go) d
+config c0 = (s0,d)
+config c1 = (s1,d)
+config c2 = (s2,d)
+label p = (c1 + c2)*
+"""
+
+
 class TestCheckExits:
     def test_failing_conjunction_is_exit_1_conclusive(self, capsys):
         code, out, _ = run(capsys, "check", IS_EX, "K{0} pi & !(<A> p)")
@@ -119,11 +143,26 @@ class TestCheckExits:
         code, _, err = run(capsys, "check", "nowhere.isrl", "p")
         assert code == 2 and "nowhere.isrl" in err
 
-    @pytest.mark.parametrize("formula", ["K{5} p", "C{0,7} p", "K{Nobody} p"])
+    # "²" passes str.isdigit but is no index: it names an agent
+    @pytest.mark.parametrize("formula", ["K{5} p", "C{0,7} p", "K{Nobody} p", "K{²} p"])
     def test_unknown_agent_is_exit_2(self, capsys, formula):
         code, out, err = run(capsys, "check", IS_EX, formula)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "agent" in err
+
+    def test_spaces_in_an_agent_set(self, capsys):
+        assert run(capsys, "check", IS_EX, "C{0, 1} p") == run(capsys, "check", IS_EX, "C{0,1} p")
+
+    @pytest.mark.parametrize("formula", ["C{0,1} <L> p", "K{1} <L> p"])
+    def test_class_order_does_not_depend_on_string_hashing(self, tmp_path, formula):
+        path = tmp_path / "hash.isrl"
+        path.write_text(HASH_SEED_SYS_TEXT)
+        codes = {
+            run_process("check", str(path), formula, "--interval", "c0",
+                        PYTHONHASHSEED=str(seed)).returncode
+            for seed in range(1, 7)
+        }
+        assert len(codes) == 1 and codes <= {0, 1, 3}
 
     @pytest.mark.parametrize("formula", ["zz", "<B> zz"])
     def test_unknown_variable_is_exit_2(self, capsys, formula):

@@ -21,8 +21,9 @@ IS_EX = data_path("is_ex.isrl")
 with open(IS_EX) as fh:
     IS_EX_TEXT = fh.read()
 
-# Names the running example has, mixed with a few it lacks
-AGENTS = ["0", "1", "Env", "Proc", "0", "1", "Ghost"]
+# Names the running example has, mixed with a few it lacks; "²" and "٣"
+# are digits to str.isdigit but name agents rather than index them
+AGENTS = ["0", "1", "Env", "Proc", "0", "1", "Ghost", "²", "٣"]
 VARIABLES = ["p", "p", "p", "zz"]
 INTERVALS = ["g1", "g2", "g3", "g1,g2", "g2 g3 g1", "(l0,l1),g2", "", "gX", "g1,g3"]
 RELATIONS = ["A", "B", "Bbar", "D", "E", "L", "N", "Abar", "O", "Q"]
@@ -58,32 +59,33 @@ def extend(inner, relations=RELATIONS, agents=AGENTS):
                   st.sampled_from(">]"), inner),
         st.builds("K{{{}}} {}".format, st.sampled_from(agents), inner),
         st.builds("C{{{}}} {}".format,
-                  st.lists(st.sampled_from(agents), min_size=1, max_size=2).map(",".join),
+                  st.builds(str.join, st.sampled_from([",", ", "]),
+                            st.lists(st.sampled_from(agents), min_size=1, max_size=2)),
                   inner),
     )
 
 
-def formulas(atoms: bool):
+def formulas(atoms: bool, agents=AGENTS, variables=VARIABLES):
     """Formula text from a small grammar (regex atoms only when `atoms`),
     or one time in five junk."""
-    leaves = st.sampled_from(["pi", "true", "false", *VARIABLES, *(ATOMS if atoms else [])])
-    grammar = st.recursive(leaves, extend, max_leaves=3)
-    junk = st.text(alphabet="pqz!&|-<>[]{}(),*+ KCAT015@", min_size=1, max_size=12)
+    leaves = st.sampled_from(["pi", "true", "false", *variables, *(ATOMS if atoms else [])])
+    grammar = st.recursive(leaves, lambda inner: extend(inner, agents=agents), max_leaves=3)
+    junk = st.text(alphabet="pqz!&|-<>[]{}(),*+ KCAT015@²", min_size=1, max_size=12)
     return st.one_of(grammar, grammar, grammar, grammar, junk).map(
         lambda text: " " + text if text.startswith("-") else text  # not an option
     )
 
 
 @st.composite
-def command_lines(draw, systems):
+def command_lines(draw, systems, agents=AGENTS, variables=VARIABLES, intervals=INTERVALS):
     command = draw(st.sampled_from(
         ["check", "check", "oracle", "reduce", "classify", "stats", "export-dot"]))
     argv = [command, draw(st.sampled_from(systems))]
     logic = draw(st.sampled_from(["plus", "re"]))
-    formula = draw(formulas(atoms=logic == "re"))
+    formula = draw(formulas(logic == "re", agents, variables))
     if command == "export-dot":
         argv.append(draw(st.sampled_from([
-            "tg", "mystery", "mct:", f"automaton:{draw(st.sampled_from(VARIABLES))}",
+            "tg", "mystery", "mct:", f"automaton:{draw(st.sampled_from(variables))}",
             f"mct:{formula}:{draw(st.integers(-1, 3))}",
             f"mct:{formula}:{draw(st.integers(-1, 3))}",
         ])))
@@ -94,7 +96,7 @@ def command_lines(draw, systems):
     if command not in ("reduce", "classify"):
         argv += ["--logic", logic]
     if command in ("check", "oracle", "export-dot") and draw(st.booleans()):
-        argv += ["--interval", draw(st.sampled_from(INTERVALS))]
+        argv += ["--interval", draw(st.sampled_from(intervals))]
     if command in ("check", "oracle") and draw(st.booleans()):
         argv += ["--bound", str(draw(st.integers(-3, 8)))]
     if command == "check" and draw(st.booleans()):
@@ -126,6 +128,59 @@ def bde_check_lines(draw, point):
     if argv[0] == "check":
         argv += draw(st.sampled_from([[], ["--engine", "bde"], ["--engine", "oracle"]]))
     return argv
+
+
+# Names the system format accepts: an agent is named by the rest of its
+# line, and states, actions, aliases and variables are single words. Few
+# of them are formula names. A state with ',', '(' or ')' is rejected,
+# since two such states could give two configurations one name.
+AGENT_NAMES = ["²", "٣", "01", "é", "Ωμ", "x.y", "x-y", "_", "n'"]
+STATES = ["t", "ß", "s.1", "²", "é-2"]
+BAD_STATES = ["s,s", "(s)"]
+ACTIONS = ["go", "ĝo", "a.1", "²", "x-y"]
+ALIASES = ["c0", "c.1", "c_2", "ĉ", "٣"]
+VARIABLE_NAMES = ["p", "ṗ", "²", "v.1", "q-"]
+
+
+@st.composite
+def named_systems(draw):
+    """The text of a system of one or two agents whose names come from the
+    pools above, with the names a command line may use on it."""
+    agents = draw(st.lists(st.sampled_from(AGENT_NAMES), min_size=1, max_size=2, unique=True))
+    # every agent has a state s: with "s,s" in two agents, two
+    # configurations would both be named "(s,s,s)"
+    states = [["s", *draw(st.lists(st.sampled_from(STATES), max_size=2, unique=True))]
+              for _ in agents]
+    # at most one bad state per agent, which nothing else names
+    bad = [draw(st.sampled_from([[], [], *([state] for state in BAD_STATES)]))
+           for _ in agents]
+    actions = [draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=2, unique=True))
+               for _ in agents]
+    lines = []
+    for name, own, extra, acts in zip(agents, states, bad, actions):
+        lines += [f"agent {name}", "  states " + " ".join(own + extra),
+                  f"  init {draw(st.sampled_from(own))}", "  actions " + " ".join(acts)]
+        lines += [f"  protocol {state}: "
+                  + " ".join(draw(st.lists(st.sampled_from(acts), max_size=2, unique=True)))
+                  for state in own]
+        for _ in range(draw(st.integers(0, 3))):
+            pattern = ",".join(draw(st.sampled_from(["*", *slot])) for slot in actions)
+            lines.append(f"  trans {draw(st.sampled_from(own))} ({pattern}) "
+                         f"{draw(st.sampled_from(own))}")
+    aliases = draw(st.lists(st.sampled_from(ALIASES), min_size=1, max_size=3, unique=True))
+    for alias in aliases:
+        config = ",".join(draw(st.sampled_from(own)) for own in states)
+        lines.append(f"config {alias} = ({config})")
+    variables = draw(st.lists(st.sampled_from(VARIABLE_NAMES), max_size=2, unique=True))
+    for var in variables:
+        first, second = draw(st.sampled_from(aliases)), draw(st.sampled_from(aliases))
+        lines.append(f"label {var} = {first} ({second} + {first})*")
+    names = {
+        "agents": ["0", "1", *agents],
+        "variables": [*variables, "p"],
+        "intervals": [*aliases, ",".join(aliases), " ".join(reversed(aliases))],
+    }
+    return "\n".join(lines) + "\n", names
 
 
 def check_main(argv):
@@ -194,3 +249,22 @@ def test_generated_unreadable_or_malformed_systems(root):
         assert check_main(argv) == 2
 
     run()
+
+
+def test_generated_systems_with_unusual_names(root):
+    path = root / "named.isrl"
+    compared = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def run(data):
+        text, names = data.draw(named_systems())
+        path.write_text(text, encoding="utf-8")
+        argv = data.draw(command_lines([str(path)], **names))
+        code = check_main(argv)
+        if code in (0, 1) and (want := exact_status(argv)) is not None:
+            assert code == want, (text, argv)
+            compared.append(argv)
+
+    run()
+    assert len(compared) >= 10, compared

@@ -1,9 +1,11 @@
 """Formula layer: parsing, printing, rewrites, classification, bounds."""
 
 import random
+import re
 
 import pytest
 
+from ehsmc.errors import InputError
 from ehsmc.formulas import (
     BOT,
     PI,
@@ -121,6 +123,38 @@ class TestParsing:
     def test_negated_literal_and_subset_predicates(self):
         f = parse_re("{!p (p,q)}")
         assert f == Atom(Concat(Sym("!p"), Sym("(p,q)")))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("C{0, 1} p", C((0, 1), Var("p"))),
+        ("K{ 0} p", K(0, Var("p"))),
+        ("< A > p", Diamond(Relation.A, Var("p"))),
+        ("[ Ebar ] p", Box(Relation.EBAR, Var("p"))),
+    ])
+    def test_whitespace_inside_modalities_and_agent_sets(self, text, expected):
+        assert parse_plus(text) == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("K{01} p", K(1, Var("p"))),
+        ("K{²} p", K("²", Var("p"))),
+        ("K{٣} p", K("٣", Var("p"))),
+        ("C{٣, Env} p", C(("٣", "Env"), Var("p"))),
+    ])
+    def test_agent_is_an_index_only_in_ascii_digits(self, text, expected):
+        assert parse_plus(text) == expected
+
+    def test_whitespace_between_any_tokens(self):
+        rng = random.Random(7004)
+        pieces = re.compile(r"->|\w+|\S")  # "<A>" and "C{0,1}" come apart too
+        for _ in range(500):
+            f = random_formula(rng, rng.randint(1, 12), agents=(0, 1, "Env", "²"))
+            parts = pieces.findall(format_formula(f))
+            text = parts[0]
+            for prev, part in zip(parts, parts[1:]):
+                gap = rng.choice(["", "", " ", "\t", " \n "])
+                if not gap and re.fullmatch(r"\w+", prev + part):
+                    gap = " "  # two names would run together
+                text += gap + part
+            assert parse_plus(text) == f, text
 
 
 class TestPrinting:
@@ -273,6 +307,8 @@ class TestStructure:
             resolve_agents(is_ex, parse_plus("K{Ghost} p"))
         with pytest.raises(ValueError):
             resolve_agents(is_ex, parse_plus("K{7} p"))
+        with pytest.raises(InputError, match="^unknown agent '²'$"):
+            resolve_agents(is_ex, parse_plus("K{²} p"))
 
 
 def zero_variable_system(configs: int = 2) -> InterpretedSystem:
