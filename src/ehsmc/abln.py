@@ -391,7 +391,7 @@ def mct_to_dot(tree: Mct) -> str:
     def emit(node: Mct) -> str:
         name = f"n{counter[0]}"
         counter[0] += 1
-        point = "pi" if node.point else "!pi"
+        point = format_formula(Pi() if node.point else Not(Pi()))
         states = ", ".join(f"{var}:{state}" for var, state in node.states)
         label = f"({node.first}, {node.last}, {point}" + (
             f" | {states})" if states else ")"

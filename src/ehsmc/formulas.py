@@ -18,9 +18,9 @@ from functools import partial
 from itertools import accumulate
 from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import InputError
+from .errors import ANY_LETTER, FORMULA_CONSTANTS, INDEX, NAME, InputError
 from .regexes import RegexExpr, Sym, fold_right, parse_regex, regex_to_text, symbols_of
-from .systems import InterpretedSystem, Relation
+from .systems import UNBOUNDED_RELATIONS, InterpretedSystem, Relation
 
 AgentRef = Union[int, str]
 
@@ -169,7 +169,7 @@ _ABLN_RELATIONS = {Relation.A, Relation.BBAR, Relation.L, Relation.N}
 # ---------------------------------------------------------------------------
 # Parsing
 
-_KEYWORDS = {"pi": PI, "true": TOP, "false": BOT}
+_KEYWORDS = dict(zip(FORMULA_CONSTANTS, (PI, TOP, BOT)))
 # binary connectives and their text, loosest first: a connective's
 # precedence level is its position here
 _BINARY = {Implies: "->", Or: "|", And: "&"}
@@ -190,8 +190,8 @@ MAX_FORMULA_DEPTH = 100
 # rejected as it would be after any other name.
 _TOKEN = re.compile(
     r"\s*(?:(?P<diamond><\s*\w+\s*>)|(?P<box>\[\s*\w+\s*\])"
-    r"|(?P<knows>[KC]\s*\{\s*\w+\s*(?:,\s*\w+\s*)*\})|(?P<atom>\{[^}]*\}?)"
-    r"|(?P<op>->|[!&|()])|(?P<name>\w+)|(?P<bad>\S))"
+    rf"|(?P<knows>[KC]\s*\{{\s*{NAME}\s*(?:,\s*{NAME}\s*)*\}})|(?P<atom>\{{[^}}]*\}}?)"
+    rf"|(?P<op>->|[!&|()])|(?P<name>{NAME})|(?P<bad>\S))"
 )
 
 
@@ -256,10 +256,8 @@ class _FormulaParser:
                     raise FormulaSyntaxError(f"unknown modality {name!r}", pos) from None
                 heads.append(partial(Diamond if kind == "diamond" else Box, relation))
             elif kind == "knows":
-                # an agent is an index when it is ASCII digits, else a name
                 names = value[value.index("{") + 1:-1].split(",")
-                agents = [int(a) if a.isascii() and a.isdigit() else a
-                          for a in map(str.strip, names)]
+                agents = [int(a) if re.fullmatch(INDEX, a) else a for a in map(str.strip, names)]
                 if value[0] == "C":
                     heads.append(partial(C, tuple(agents)))
                 elif len(agents) != 1:
@@ -561,7 +559,7 @@ def variables_of(f: Formula) -> Set[str]:
 def predicate_variables(symbol: str) -> List[str]:
     """Variables a letter predicate names: none for `T`, `p` for `!p`,
     the listed ones for a tuple `(p,q)`, else the symbol itself."""
-    if symbol == "T":
+    if symbol == ANY_LETTER:
         return []
     if symbol.startswith("!"):
         return [symbol[1:]]
@@ -578,7 +576,7 @@ def letter_predicate_holds(symbol: str, valuation: FrozenSet[str]) -> bool:
         return symbol[1:] not in valuation
     if symbol.startswith("(") and symbol.endswith(")"):
         return valuation == set(predicate_variables(symbol))
-    return symbol == "T" or symbol in valuation
+    return symbol == ANY_LETTER or symbol in valuation
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +603,7 @@ def _interval_type_bound(
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
     g = normalize(eliminate_L(f))
-    extra = relations_of(g) - {Relation.A, Relation.BBAR, Relation.N}
+    extra = relations_of(g) - UNBOUNDED_RELATIONS
     if extra:
         names = ", ".join(sorted(r.value for r in extra))
         raise FragmentError(

@@ -40,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from .errors import InputError
+from .errors import LABEL_CONSTANTS, NAME, InputError
 
 Symbol = str
 
@@ -205,15 +205,16 @@ def regex_depth(expr: RegexExpr) -> int:
     return deepest
 
 
-_IDENT = r"[A-Za-z0-9_.]+"
 # A "(" opens a tuple symbol only when a comma list of at least two names
 # and a ")" follow; otherwise it is grouping. Tuple symbols therefore need
 # at least two components, which is why single-agent systems must use
 # aliases.
 _TOKEN = _stdre.compile(
-    rf"\s*(?:(?P<tuple>\(\s*{_IDENT}\s*(?:,\s*{_IDENT}\s*)+\))"
-    rf"|(?P<op>[*+|;()])|(?P<word>!?{_IDENT})|(?P<bad>\S))"
+    rf"\s*(?:(?P<tuple>\(\s*{NAME}\s*(?:,\s*{NAME}\s*)+\))"
+    rf"|(?P<op>[*+|;()])|(?P<word>!?{NAME})|(?P<bad>\S))"
 )
+_CONSTANTS = dict(zip(LABEL_CONSTANTS, (EMPTY, EPSILON)))
+_CONSTANT_TEXT = {type(node): text for text, node in _CONSTANTS.items()}
 
 
 def _tokenize(text: str, predicate_mode: bool) -> List[Tuple[str, str, int]]:
@@ -229,7 +230,7 @@ def _tokenize(text: str, predicate_mode: bool) -> List[Tuple[str, str, int]]:
         elif kind == "op":
             tokens.append(("op", value, pos))
         elif kind == "word" and (predicate_mode or value[0] != "!"):
-            tokens.append((value if value in ("empty", "eps") else "sym", value, pos))
+            tokens.append(("const" if value in _CONSTANTS else "sym", value, pos))
         elif value == "!" and predicate_mode:
             raise RegexSyntaxError("dangling '!'", pos)
         else:
@@ -281,7 +282,7 @@ class _RegexParser:
             if kind == "op" and value == ";":
                 self.consume()
                 parts.append(self._postfix())
-            elif kind in ("sym", "empty", "eps") or (kind == "op" and value == "("):
+            elif kind in ("sym", "const") or (kind == "op" and value == "("):
                 parts.append(self._postfix())
             else:
                 break
@@ -296,10 +297,8 @@ class _RegexParser:
 
     def _primary(self) -> RegexExpr:
         kind, value, pos = self.consume()
-        if kind == "empty":
-            return EMPTY
-        if kind == "eps":
-            return EPSILON
+        if kind == "const":
+            return _CONSTANTS[value]
         if kind == "sym":
             return Sym(self._resolve(value, pos))
         if kind == "op" and value == "(":
@@ -358,10 +357,8 @@ def regex_to_text(expr: RegexExpr, display: Optional[Callable[[Symbol], str]] = 
         return 2
 
     def go(e: RegexExpr, outer: int) -> str:
-        if isinstance(e, Empty):
-            return "empty"
-        if isinstance(e, Epsilon):
-            return "eps"
+        if isinstance(e, (Empty, Epsilon)):
+            return _CONSTANT_TEXT[type(e)]
         if isinstance(e, Sym):
             return disp(e.symbol)
         if isinstance(e, Star):

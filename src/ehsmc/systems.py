@@ -14,11 +14,12 @@ backward interval relations live.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import InputError
+from .errors import ANY_LETTER, FORMULA_CONSTANTS, INDEX, LABEL_CONSTANTS, NAME, InputError
 from .regexes import (
     Alphabet,
     Dfa,
@@ -164,6 +165,8 @@ class InterpretedSystem:
         return relabelled
 
     def _label(self, labelling: Dict[str, RegexExpr]) -> None:
+        for var, why in _bad_names(labelling, (*FORMULA_CONSTANTS, *LABEL_CONSTANTS, ANY_LETTER)):
+            raise InputError(f"label {var}: {var!r} {why}")
         for var, expr in labelling.items():
             stray = {s for s in symbols_of(expr) if s not in self.alphabet}
             if stray:
@@ -250,32 +253,44 @@ _LABEL_FREE = ("agents", "aliases", "initial", "all_configs", "alphabet", "_by_n
                "_display", "_succ", "reachable", "reachable_set")
 
 
+_is_name = re.compile(NAME).fullmatch
+
+
+def _bad_names(names: Iterable[str], reserved: Iterable[str] = ()) -> Iterator[Tuple[str, str]]:
+    """Each name outside the name rule or among `reserved`, with why."""
+    for name in names:
+        if not _is_name(name):
+            yield name, "is not a name (word characters and '.')"
+        elif name in reserved:
+            yield name, "is reserved"
+
+
 def _violations(
     agents: Tuple[LocalComponent, ...], aliases: Dict[str, GlobalConfig]
 ) -> Iterator[str]:
-    """Every way the agents and aliases break the rules of a system:
-    distinct agent names; declared, distinct states without the ',', '('
-    and ')' that delimit canonical names; protocols and transitions over
+    """Every way the agents and aliases break the rules of a system: names
+    by the name rule, and agent names that are not indices; distinct agent
+    names; declared, distinct states; protocols and transitions over
     declared states and actions; patterns of one action slot per agent;
     aliases that name configurations."""
     n = len(agents)
     if not agents:
         yield "at least one agent is required"
     named: Set[str] = set()
-    for agent in agents:
-        if agent.name in named:
-            yield f"agent {agent.name}: duplicate agent name"
-        if agent.name:
-            named.add(agent.name)
     for idx, agent in enumerate(agents):
         tag = f"agent {agent.name or idx}"
+        for noun, names in (("", [agent.name]), ("state ", agent.states),
+                            ("action ", agent.actions)):
+            yield from (f"{tag}: {noun}{name!r} {why}" for name, why in _bad_names(names))
+        if re.fullmatch(INDEX, agent.name):
+            yield f"{tag}: {agent.name!r} would read as an agent index"
+        if agent.name in named:
+            yield f"{tag}: duplicate agent name"
+        named.add(agent.name)
         if not agent.states:
             yield f"{tag}: declares no local states"
         if len(set(agent.states)) != len(agent.states):
             yield f"{tag}: duplicate local states"
-        for state in agent.states:
-            if any(c in state for c in ",()"):
-                yield f"{tag}: state {state!r} contains ',', '(' or ')'"
         if agent.init not in agent.states:
             yield f"{tag}: init {agent.init!r} not a state"
         for state, acts in agent.protocol.items():
@@ -293,6 +308,8 @@ def _violations(
                 for j, slot in enumerate(pattern):
                     if slot != "*" and slot not in agents[j].actions:
                         yield f"{tag}: pattern slot {j} names unknown action {slot!r}"
+    for alias, why in _bad_names(aliases, LABEL_CONSTANTS):
+        yield f"config {alias}: {alias!r} {why}"
     for alias, cfg in aliases.items():
         if len(cfg) != n or any(
             l not in agent.states for l, agent in zip(cfg, agents)
@@ -489,7 +506,7 @@ def parse_system(text: str) -> InterpretedSystem:
     agents: List[dict] = []
     aliases: Dict[str, GlobalConfig] = {}
     label_lines: List[Tuple[str, str, int]] = []
-    # "agent NAME" / "config ALIAS" -> the line declaring it, so that a
+    # "agent NAME" / "config ALIAS" / "label VAR" -> its line, so that a
     # construction violation, which names its subject, gets a line
     origin: Dict[str, int] = {}
 
@@ -556,17 +573,19 @@ def parse_system(text: str) -> InterpretedSystem:
 
     try:
         system = InterpretedSystem([LocalComponent(**a) for a in agents], {}, aliases)
+        alias_to_symbol = {name: config_str(cfg) for name, cfg in aliases.items()}
+        labelling: Dict[str, RegexExpr] = {}
+        for var, expr_text, lineno in label_lines:
+            origin[f"label {var}"] = lineno
+            try:
+                labelling[var] = parse_regex(expr_text, system.alphabet, alias_to_symbol)
+            except InputError as exc:
+                raise InputError(f"label {var}: {exc}") from exc
+        return system.with_labelling(labelling)
     except InputError as exc:
-        subject = str(exc).partition(": ")[0]
+        # the longest subject that starts the message: a bad name may hold ": "
+        subject = max((s for s in origin if str(exc).startswith(s + ": ")), key=len, default="")
         raise SystemParseError(str(exc), origin.get(subject, 1)) from exc
-    alias_to_symbol = {name: config_str(cfg) for name, cfg in aliases.items()}
-    labelling: Dict[str, RegexExpr] = {}
-    for var, expr_text, lineno in label_lines:
-        try:
-            labelling[var] = parse_regex(expr_text, system.alphabet, alias_to_symbol)
-        except InputError as exc:
-            raise SystemParseError(f"label {var}: {exc}", lineno) from exc
-    return system.with_labelling(labelling)
 
 
 def read_input(path: str) -> str:

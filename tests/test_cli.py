@@ -391,6 +391,33 @@ label p = ct
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    # Each declares a name the formula or label would misread; loaded
+    # unchecked, each line below answered 0 or 1 on the misreading
+    @pytest.mark.parametrize("text, argv, line, message", [
+        # K{01} reads agent 1, not the agent named 01
+        (IS_EX_TEXT.replace("agent Env", "agent 01"), ["K{01} p"], 2,
+         "agent 01: '01' would read as an agent index"),
+        # the label q = eps reads the empty word, not the alias
+        (IS_EX_TEXT + "config eps = (l0,l1)\nlabel q = eps\n", ["q", "--interval", "g1"],
+         IS_EX_TEXT.count("\n") + 1, "config eps: 'eps' is reserved"),
+        # the formula true reads the constant, not the variable
+        (IS_EX_TEXT + "label true = g2\n", ["true", "--interval", "g1"],
+         IS_EX_TEXT.count("\n") + 1, "label true: 'true' is reserved"),
+        # the atom T reads any letter, not the variable
+        (POINT_SYS_TEXT + "label T = h\n", ["T", "--logic", "re", "--interval", "n"],
+         POINT_SYS_TEXT.count("\n") + 1, "label T: 'T' is reserved"),
+        # the atom {eps} reads the empty word, not the variable
+        (POINT_SYS_TEXT + "label eps = n\n", ["{eps}", "--logic", "re", "--interval", "n"],
+         POINT_SYS_TEXT.count("\n") + 1, "label eps: 'eps' is reserved"),
+    ])
+    def test_name_the_grammars_misread_is_exit_2(self, capsys, tmp_path, text, argv, line,
+                                                 message):
+        path = tmp_path / "misread.isrl"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line {line}: {message}\n"
+
     def test_warnings_go_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "deadlock.isrl"
         path.write_text(self.ONE_AGENT.replace("(go,go)", "(go)").replace(

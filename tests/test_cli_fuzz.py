@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehsmc.cli import _build_parser, main
-from ehsmc.formulas import Fragment, fragment_of, parse_plus, parse_re
+from ehsmc.errors import InputError
+from ehsmc.formulas import (
+    Fragment, format_formula, fragment_of, parse_plus, parse_re, variables_of,
+)
 from ehsmc.oracle import minimal_anchor, oracle_check
-from ehsmc.systems import Interval, load_system
+from ehsmc.systems import Interval, format_system, load_system, parse_system
 
 from conftest import COMMA_SYS_TEXT, POINT_SYS_TEXT, data_path
 
@@ -130,31 +133,41 @@ def bde_check_lines(draw, point):
     return argv
 
 
-# Names the system format accepts: an agent is named by the rest of its
-# line, and states, actions, aliases and variables are single words. Few
-# of them are formula names. A state with ',', '(' or ')' is rejected,
-# since two such states could give two configurations one name.
-AGENT_NAMES = ["²", "٣", "01", "é", "Ωμ", "x.y", "x-y", "_", "n'"]
+# Names for each part of a system, many of them outside ASCII. Those in
+# REJECTED break the name rule where their pool puts them: they hold a
+# character that is neither a word character nor '.', name an agent with
+# ASCII digits (an index in K{...}), or spell a constant of the grammar
+# that reads them. A state with ',', '(' or ')' would also let two
+# configurations share one name.
+AGENT_NAMES = ["²", "٣", "01", "é", "Ωμ", "x.y", "x-y", "_", "n'", "0"]
 STATES = ["t", "ß", "s.1", "²", "é-2"]
 BAD_STATES = ["s,s", "(s)"]
 ACTIONS = ["go", "ĝo", "a.1", "²", "x-y"]
-ALIASES = ["c0", "c.1", "c_2", "ĉ", "٣"]
-VARIABLE_NAMES = ["p", "ṗ", "²", "v.1", "q-"]
+ALIASES = ["c0", "c.1", "c_2", "ĉ", "٣", "eps"]
+VARIABLE_NAMES = ["p", "ṗ", "²", "v.1", "q-", "T", "true", "eps"]
+REJECTED = {"01", "x-y", "n'", "0", "é-2", "eps", "q-", "T", "true"}
+
+
+def names_from(pool):
+    """A name of the pool, those in REJECTED a tenth as often as the others
+    so that most drawn systems load."""
+    return st.sampled_from([name for name in pool for _ in range(1 if name in REJECTED else 10)])
 
 
 @st.composite
 def named_systems(draw):
     """The text of a system of one or two agents whose names come from the
     pools above, with the names a command line may use on it."""
-    agents = draw(st.lists(st.sampled_from(AGENT_NAMES), min_size=1, max_size=2, unique=True))
+    agents = draw(st.lists(names_from(AGENT_NAMES), min_size=1, max_size=2, unique=True))
     # every agent has a state s: with "s,s" in two agents, two
     # configurations would both be named "(s,s,s)"
-    states = [["s", *draw(st.lists(st.sampled_from(STATES), max_size=2, unique=True))]
+    states = [["s", *draw(st.lists(names_from(STATES), max_size=2, unique=True))]
               for _ in agents]
-    # at most one bad state per agent, which nothing else names
-    bad = [draw(st.sampled_from([[], [], *([state] for state in BAD_STATES)]))
+    # at most one bad state per agent, which nothing else names, drawn as
+    # seldom as a rejected name
+    bad = [draw(st.sampled_from([[]] * 10 + [[state] for state in BAD_STATES]))
            for _ in agents]
-    actions = [draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=2, unique=True))
+    actions = [draw(st.lists(names_from(ACTIONS), min_size=1, max_size=2, unique=True))
                for _ in agents]
     lines = []
     for name, own, extra, acts in zip(agents, states, bad, actions):
@@ -167,11 +180,11 @@ def named_systems(draw):
             pattern = ",".join(draw(st.sampled_from(["*", *slot])) for slot in actions)
             lines.append(f"  trans {draw(st.sampled_from(own))} ({pattern}) "
                          f"{draw(st.sampled_from(own))}")
-    aliases = draw(st.lists(st.sampled_from(ALIASES), min_size=1, max_size=3, unique=True))
+    aliases = draw(st.lists(names_from(ALIASES), min_size=1, max_size=3, unique=True))
     for alias in aliases:
         config = ",".join(draw(st.sampled_from(own)) for own in states)
         lines.append(f"config {alias} = ({config})")
-    variables = draw(st.lists(st.sampled_from(VARIABLE_NAMES), max_size=2, unique=True))
+    variables = draw(st.lists(names_from(VARIABLE_NAMES), min_size=1, max_size=2, unique=True))
     for var in variables:
         first, second = draw(st.sampled_from(aliases)), draw(st.sampled_from(aliases))
         lines.append(f"label {var} = {first} ({second} + {first})*")
@@ -251,9 +264,20 @@ def test_generated_unreadable_or_malformed_systems(root):
     run()
 
 
+def checked_formula(argv):
+    """The parsed formula of a `check` or `oracle` line, else None."""
+    args = _build_parser().parse_args(argv)
+    if args.command not in ("check", "oracle"):
+        return None
+    return (parse_re if args.logic == "re" else parse_plus)(args.formula)
+
+
 def test_generated_systems_with_unusual_names(root):
+    """A system that loads prints and re-reads as itself, and so does a
+    formula over its names; one that does not load is exit 2 whatever
+    the command."""
     path = root / "named.isrl"
-    compared = []
+    compared, rejected, unusual = [], [], []
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -262,9 +286,35 @@ def test_generated_systems_with_unusual_names(root):
         path.write_text(text, encoding="utf-8")
         argv = data.draw(command_lines([str(path)], **names))
         code = check_main(argv)
-        if code in (0, 1) and (want := exact_status(argv)) is not None:
-            assert code == want, (text, argv)
-            compared.append(argv)
+        try:
+            system = parse_system(text)
+        except InputError:
+            assert code == 2, (text, argv)
+            rejected.append(text)
+            return
+        again = parse_system(format_system(system))
+        assert again.all_configs == system.all_configs, text
+        assert again.labelling == system.labelling, text
+        assert all(again.successors(g) == system.successors(g) for g in system.all_configs)
+        formula = data.draw(formulas(True, names["agents"], names["variables"]))
+        for parse in (parse_plus, parse_re):
+            try:
+                f = parse(formula)
+            except InputError:
+                continue
+            assert parse(format_formula(f)) == f, formula
+        # and a B/D/E check over the variables the system declares
+        own = ["check", str(path), data.draw(st.recursive(
+            st.sampled_from(system.variables),
+            lambda inner: extend(inner, ["B", "D", "E"], names["agents"]), max_leaves=3))]
+        for line, status in ((argv, code), (own, check_main(own))):
+            if status in (0, 1) and (want := exact_status(line)) is not None:
+                assert status == want, (text, line)
+                compared.append(line)
+            checked = checked_formula(line) if status in (0, 1) else None
+            if checked is not None and any("." in var or not var.isascii() for var in variables_of(checked)):
+                unusual.append(line)
 
     run()
     assert len(compared) >= 10, compared
+    assert rejected and unusual, (rejected, unusual)

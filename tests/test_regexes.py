@@ -110,8 +110,10 @@ class TestParsing:
         ("p ! q", True, "dangling '!' (at position 2)"),
         ("p !", True, "dangling '!' (at position 2)"),
         ("a\u00a0# b", False, "unexpected character '#' (at position 2)"),
-        ("a \u00e9", True, "unexpected character '\u00e9' (at position 2)"),
+        # names are Unicode word characters and '.'
+        ("a \u00e9", True, Concat(Sym("a"), Sym("\u00e9"))),
         ("eps empty", False, Concat(EPSILON, EMPTY)),
+        ("\u0109.1 (\u00b2,x.y)", False, Concat(Sym("\u0109.1"), Sym("(\u00b2,x.y)"))),
     ])
     def test_token_table(self, text, predicate_mode, expected):
         if isinstance(expected, str):

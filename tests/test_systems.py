@@ -33,10 +33,13 @@ from ehsmc.systems import (
 
 from ehsmc.abln import check_abln, user_bound
 from ehsmc.bde import check_bde
-from ehsmc.formulas import PI, parse_plus
+from ehsmc.formulas import PI, Atom, Var, parse_plus, parse_re
 
 from conftest import COMMA_SYS_TEXT, cfgs, data_path, iv
 from genutil import epi_equiv, intervals_up_to, ring_text
+
+with open(data_path("is_ex.isrl")) as fh:
+    IS_EX_TEXT = fh.read()
 
 
 def names(sys_, paths):
@@ -289,7 +292,29 @@ MALFORMED = [
                  id="pattern-action"),
     pytest.param(lambda s: ([LocalComponent("A", ("a", "a,b"), "a", ("go",), {}, ()),
                              LocalComponent("B", ("b,c", "c"), "c", ("go",), {}, ())], {}, {}),
-                 "agent A: state 'a,b' contains ',', '(' or ')'", id="reserved-character"),
+                 "agent A: state 'a,b' is not a name (word characters and '.')",
+                 id="reserved-character"),
+    # "*" is the pattern wildcard
+    pytest.param(broken(0, actions=("a1", "a2", "*")),
+                 "agent Env: action '*' is not a name (word characters and '.')",
+                 id="wildcard-action"),
+    pytest.param(broken(0, name="A B"),
+                 "agent A B: 'A B' is not a name (word characters and '.')", id="agent-space"),
+    # K{01} would read agent 1
+    pytest.param(broken(0, name="01"), "agent 01: '01' would read as an agent index",
+                 id="agent-digits"),
+    # a label naming it would read the empty word
+    pytest.param(broken(aliases={"eps": ("l0", "l1")}), "config eps: 'eps' is reserved",
+                 id="alias-eps"),
+    pytest.param(broken(labelling={"true": Sym("(l0,l2)")}),
+                 "label true: 'true' is reserved", id="variable-true"),
+    pytest.param(broken(labelling={"T": Sym("(l0,l2)")}),
+                 "label T: 'T' is reserved", id="variable-T"),
+    # the regex atom {eps} would read the empty word
+    pytest.param(broken(labelling={"eps": Sym("(l0,l2)")}),
+                 "label eps: 'eps' is reserved", id="variable-eps"),
+    pytest.param(broken(labelling={"v-1": Sym("(l0,l2)")}),
+                 "label v-1: 'v-1' is not a name (word characters and '.')", id="variable-dash"),
     pytest.param(broken(aliases={"g": ("l0",)}),
                  "config g: ('l0',) is not a configuration", id="alias-arity"),
     pytest.param(broken(aliases={"g": ("l0", "l9")}),
@@ -337,7 +362,19 @@ class TestValidation:
             parse_system("# no agent\n")
         with pytest.raises(SystemParseError) as exc:
             parse_system(COMMA_SYS_TEXT)
-        assert str(exc.value) == "line 2: agent A: state 'a,b' contains ',', '(' or ')'"
+        assert str(exc.value) == \
+            "line 2: agent A: state 'a,b' is not a name (word characters and '.')"
+        # a variable the labelling rejects is reported at its label line
+        text = format_system(is_ex) + "label true = g2\nlabel q = g3\n"
+        with pytest.raises(SystemParseError) as exc:
+            parse_system(text)
+        line = text.count("\n") - 1
+        assert str(exc.value) == f"line {line}: label true: 'true' is reserved"
+        # a name holding ": " still finds its line
+        with pytest.raises(SystemParseError) as exc:
+            parse_system(IS_EX_TEXT.replace("agent Proc", "agent Proc: worker"))
+        assert str(exc.value) == "line 8: agent Proc: worker: 'Proc: worker' is not a name " \
+            "(word characters and '.')"
 
     def test_relabelling_shares_the_step_relation(self, is_ex, gs):
         relabelled = is_ex.with_labelling({"q": Sym(config_str(gs["g2"]))})
@@ -365,6 +402,46 @@ class TestValidation:
         )
         sys_ = InterpretedSystem((is_ex.agents[0], crippled), is_ex.labelling, is_ex.aliases)
         assert any("l1" in w and "no action" in w for w in system_warnings(sys_))
+
+
+# Names of every kind the grammars could disagree on; those outside the
+# rule contain a character that is neither a word character nor '.'
+NAME_POOL = ["q", "v.1", "c_2", "01", "_", ".", "\u00b2", "\u0663", "\u0109", "\u1e57",
+             "x-y", "n'", "pi", "true", "false", "empty", "eps", "T"]
+NOT_NAMES = {"x-y", "n'"}
+LABEL_CONSTANTS = {"empty", "eps"}
+RESERVED_VARIABLES = LABEL_CONSTANTS | {"pi", "true", "false", "T"}
+
+
+class TestNameRule:
+    """A name a system declares loads exactly when formulas and labels
+    read it back as that name."""
+
+    @pytest.mark.parametrize("name", NAME_POOL)
+    def test_variable_names(self, name):
+        text = IS_EX_TEXT + f"label {name} = g2\n"
+        if name in NOT_NAMES | RESERVED_VARIABLES:
+            with pytest.raises(SystemParseError) as exc:
+                parse_system(text)
+            assert exc.value.line == text.count("\n")
+            assert str(exc.value).startswith(f"line {exc.value.line}: label {name}: {name!r} ")
+            return
+        assert parse_system(text).variables == ("p", name)
+        assert parse_plus(name) == Var(name)
+        assert parse_re(name) == parse_re("{" + name + "}") == Atom(Sym(name))
+
+    @pytest.mark.parametrize("name", NAME_POOL)
+    def test_alias_names(self, name):
+        text = IS_EX_TEXT + f"config {name} = (l0,l2)\nlabel r = {name}\n"
+        if name in NOT_NAMES | LABEL_CONSTANTS:
+            with pytest.raises(SystemParseError) as exc:
+                parse_system(text)
+            assert exc.value.line == text.count("\n") - 1
+            assert str(exc.value).startswith(f"line {exc.value.line}: config {name}: {name!r} ")
+            return
+        system = parse_system(text)
+        assert system.config_by_name(name) == ("l0", "l2")
+        assert system.labelling["r"] == Sym("(l0,l2)")
 
 
 class TestTextFormat:
