@@ -3,19 +3,20 @@
 Two independent evaluation routes are provided on purpose. `denotes`
 decides membership directly on the expression tree via derivatives,
 while `compile_regex` builds a complete minimal DFA through the
-Thompson / subset-construction / minimization pipeline. The routes
-share no code so they can cross-validate each other.
+position-automaton / subset-construction / minimization pipeline. The
+routes share no code so they can cross-validate each other.
 
 Labels range over whole configuration spaces, whose alphabets grow as
 the product of the agents' local states, but mention only a few letter
-sets. So the Thompson automaton puts all symbol operands of a union
-chain on one edge labelled by a symbol set, and the alphabet is split
-into letter classes: letters lying on exactly the same edges. Subset
-construction and minimization work on classes, not letters (the
-minterms of symbolic automata: D'Antoni and Veanes, "Minimization of
-symbolic automata", POPL 2014); only the finished transition table is
-spelled out letter by letter. `denotes` keeps working letter by letter
-on the expression, so it still checks the compiled route independently.
+sets. So the position automaton (Glushkov; Berry and Sethi, TCS 1986)
+gives all symbol operands of a union chain one position that reads a
+symbol set, and the alphabet is split into letter classes: letters read
+by exactly the same positions. Subset construction and minimization
+work on classes, not letters (the minterms of symbolic automata:
+D'Antoni and Veanes, "Minimization of symbolic automata", POPL 2014);
+only the finished transition table is spelled out letter by letter.
+`denotes` keeps working letter by letter on the expression, so it still
+checks the compiled route independently.
 
 The concrete syntax is read by one compiled token pattern, `_TOKEN`:
 after optional whitespace comes a tuple symbol such as "(l0, l1)", an
@@ -31,7 +32,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -525,26 +525,6 @@ def accepts(dfa: Dfa, word: Sequence[Symbol]) -> bool:
     return run(dfa, word) in dfa.accepting
 
 
-class _Nfa:
-    """Thompson NFA whose letter edges carry symbol sets, one edge per
-    set rather than one per symbol."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.eps: Dict[int, List[int]] = {}
-        self.edges: List[Tuple[int, FrozenSet[Symbol], int]] = []
-
-    def fresh(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def add_eps(self, src: int, dst: int) -> None:
-        self.eps.setdefault(src, []).append(dst)
-
-    def add_symbols(self, src: int, symbols: FrozenSet[Symbol], dst: int) -> None:
-        self.edges.append((src, symbols, dst))
-
-
 def _chain_operands(expr: RegexExpr, kind: type) -> List[RegexExpr]:
     """Operands of a maximal chain of `kind` nodes (Union or Concat),
     left to right, however nested."""
@@ -560,116 +540,111 @@ def _chain_operands(expr: RegexExpr, kind: type) -> List[RegexExpr]:
     return out
 
 
-def _thompson(expr: RegexExpr, nfa: _Nfa) -> Tuple[int, int]:
-    start, accept = nfa.fresh(), nfa.fresh()
-    if isinstance(expr, Empty):
-        pass
-    elif isinstance(expr, Epsilon):
-        nfa.add_eps(start, accept)
-    elif isinstance(expr, Sym):
-        nfa.add_symbols(start, frozenset((expr.symbol,)), accept)
-    elif isinstance(expr, Concat):
+def _positions(
+    expr: RegexExpr, symbols: List[FrozenSet[Symbol]], follow: List[Set[int]]
+) -> Tuple[bool, Set[int], Set[int]]:
+    """Append the expression's positions to `symbols` (what each reads)
+    and `follow` (the positions that may come next), and return whether
+    it accepts the empty word, its first positions and its last ones."""
+    kind = type(expr)  # node classes are final: `is` beats isinstance
+    if kind is Concat:
         # A chain is linked in a loop, so a long word costs no recursion.
-        last = start
+        nullable, first, last = True, set(), set()
         for op in _chain_operands(expr, Concat):
-            s, a = _thompson(op, nfa)
-            nfa.add_eps(last, s)
-            last = a
-        nfa.add_eps(last, accept)
-    elif isinstance(expr, Union):
-        # All symbol operands of the chain share one edge; compound
-        # operands keep their own epsilon branches.
-        operands = _chain_operands(expr, Union)
-        symbols = frozenset(op.symbol for op in operands if isinstance(op, Sym))
-        if symbols:
-            nfa.add_symbols(start, symbols, accept)
-        for op in operands:
-            if not isinstance(op, Sym):
-                s, a = _thompson(op, nfa)
-                nfa.add_eps(start, s)
-                nfa.add_eps(a, accept)
-    elif isinstance(expr, Star):
-        inner_s, inner_a = _thompson(expr.inner, nfa)
-        nfa.add_eps(start, inner_s)
-        nfa.add_eps(start, accept)
-        nfa.add_eps(inner_a, inner_s)
-        nfa.add_eps(inner_a, accept)
-    else:
+            op_nullable, op_first, op_last = _positions(op, symbols, follow)
+            for p in last:
+                follow[p] |= op_first
+            if nullable:
+                first |= op_first
+            last = last | op_last if op_nullable else op_last
+            nullable = nullable and op_nullable
+        return nullable, first, last
+    if kind is Star:
+        _, first, last = _positions(expr.inner, symbols, follow)
+        for p in last:
+            follow[p] |= first
+        return True, first, last
+    if kind is Epsilon or kind is Empty:
+        return kind is Epsilon, set(), set()
+    if kind is not Sym and kind is not Union:
         raise TypeError(f"not a regex node: {expr!r}")
-    return start, accept
+    # All symbol operands of a union chain share one position; compound
+    # operands keep their own.
+    operands = _chain_operands(expr, Union)
+    letters = frozenset(op.symbol for op in operands if type(op) is Sym)
+    nullable, first, last = False, set(), set()
+    if letters:
+        first.add(len(symbols))
+        last.add(len(symbols))
+        symbols.append(letters)
+        follow.append(set())
+    for op in operands:
+        if type(op) is not Sym:
+            op_nullable, op_first, op_last = _positions(op, symbols, follow)
+            nullable |= op_nullable
+            first |= op_first
+            last |= op_last
+    return nullable, first, last
 
 
-def _letter_classes(nfa: _Nfa, alphabet: Alphabet) -> Tuple[int, Dict[Symbol, int]]:
-    """Partition the alphabet into classes of letters lying on exactly
-    the same edge labels; letters on no edge form one class. Classes are
-    numbered in the order of their least letter. Returns the number of
-    classes and each letter's class."""
-    on_labels: Dict[Symbol, List[int]] = {}
-    for idx, label in enumerate(dict.fromkeys(label for _, label, _ in nfa.edges)):
-        for symbol in label:
-            on_labels.setdefault(symbol, []).append(idx)
-    by_signature: Dict[Tuple[int, ...], int] = {}
-    class_of: Dict[Symbol, int] = {}
-    for symbol in alphabet.symbols:
-        signature = tuple(on_labels.get(symbol, ()))
-        class_of[symbol] = by_signature.setdefault(signature, len(by_signature))
-    return len(by_signature), class_of
-
-
-def _closure(nfa: _Nfa, states: Iterable[int]) -> FrozenSet[int]:
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for t in nfa.eps.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
+def _letter_classes(
+    symbols: Sequence[FrozenSet[Symbol]], alphabet: Alphabet
+) -> Tuple[List[FrozenSet[int]], Dict[Symbol, int]]:
+    """Partition the alphabet into classes of letters read by exactly the
+    same positions; letters no position reads form one class. Classes
+    are numbered in the order of their least letter. Returns the
+    positions reading each class and each letter's class."""
+    read_at: Dict[Symbol, List[int]] = {}
+    for position, letters in enumerate(symbols):
+        for symbol in letters:
+            read_at.setdefault(symbol, []).append(position)
+    readers: Dict[FrozenSet[int], int] = {}
+    class_of = {
+        symbol: readers.setdefault(frozenset(read_at.get(symbol, ())), len(readers))
+        for symbol in alphabet.symbols
+    }
+    return list(readers), class_of
 
 
 def compile_regex(expr: RegexExpr, alphabet: Alphabet) -> Dfa:
     """Compile to the complete minimal DFA for the expression.
 
-    Pipeline: Thompson construction with symbol-set edges, a partition
-    of the alphabet into letter classes (letters on exactly the same
-    edges behave alike everywhere downstream), epsilon-closure subset
-    construction and partition refinement over the classes, and finally
-    expansion of the transition table to every letter. The empty subset
-    acts as the dead state, so the result is complete.
+    Pipeline: the position automaton (Glushkov), whose union chains read
+    symbol sets, a partition of the alphabet into letter classes (letters
+    read by exactly the same positions behave alike everywhere
+    downstream), subset construction over positions and classes from an
+    extra start position, partition refinement over the classes, and
+    finally expansion of the transition table to every letter. Every
+    move of the position automaton reads a letter, so no subset needs a
+    closure. The empty subset acts as the dead state, so the result is
+    complete.
     """
     stray = symbols_of(expr) - set(alphabet.symbols)
     if stray:
         raise ValueError(f"expression symbols outside the alphabet: {sorted(stray)}")
 
-    nfa = _Nfa()
-    start, accept = _thompson(expr, nfa)
-    n_classes, class_of = _letter_classes(nfa, alphabet)
-    classes = range(n_classes)
-    trans: Dict[Tuple[int, int], List[int]] = {}
-    for src, label, dst in nfa.edges:
-        for c in {class_of[symbol] for symbol in label}:
-            trans.setdefault((src, c), []).append(dst)
+    # Position 0 is the start: it reads nothing and is followed by the
+    # expression's first positions.
+    symbols: List[FrozenSet[Symbol]] = [frozenset()]
+    follow: List[Set[int]] = [set()]
+    nullable, follow[0], last = _positions(expr, symbols, follow)
+    final = last | {0} if nullable else last
+    readers, class_of = _letter_classes(symbols, alphabet)
+    classes = range(len(readers))
 
-    # Subset construction over letter classes.
-    init = _closure(nfa, [start])
-    subsets: Dict[FrozenSet[int], int] = {init: 0}
-    order: List[FrozenSet[int]] = [init]
+    # Subset construction over letter classes, breadth-first.
+    order: List[FrozenSet[int]] = [frozenset((0,))]
+    subsets: Dict[FrozenSet[int], int] = {order[0]: 0}
     delta: Dict[Tuple[int, int], int] = {}
-    queue = [init]
-    while queue:
-        current = queue.pop(0)
+    for i, current in enumerate(order):
+        after = set().union(*(follow[p] for p in current))
         for c in classes:
-            moved = set()
-            for s in current:
-                moved.update(trans.get((s, c), ()))
-            nxt = _closure(nfa, moved)
+            nxt = readers[c] & after
             if nxt not in subsets:
                 subsets[nxt] = len(order)
                 order.append(nxt)
-                queue.append(nxt)
-            delta[(subsets[current], c)] = subsets[nxt]
-    accepting = {subsets[s] for s in order if accept in s}
+            delta[(i, c)] = subsets[nxt]
+    accepting = {i for i, subset in enumerate(order) if not final.isdisjoint(subset)}
 
     # Partition refinement down to the minimal automaton.
     n = len(order)

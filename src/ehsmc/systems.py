@@ -501,14 +501,24 @@ def parse_system(text: str) -> InterpretedSystem:
     indices, the first being the environment); inside it `states`,
     `init`, `actions`, `protocol STATE: a b`, and
     `trans SRC (a0,...,am) DST` lines. Top level: `config ALIAS = (...)`
-    and `label VAR = REGEX`. '#' starts a comment.
+    and `label VAR = REGEX`. '#' starts a comment. Each line but `trans`
+    declares something once: a second `config` or `label` of one name,
+    or a second `states`, `init`, `actions` or `protocol STATE` line in
+    one agent block, is an error at the repeated line.
     """
     agents: List[dict] = []
     aliases: Dict[str, GlobalConfig] = {}
-    label_lines: List[Tuple[str, str, int]] = []
+    label_lines: List[Tuple[str, str]] = []
     # "agent NAME" / "config ALIAS" / "label VAR" -> its line, so that a
     # construction violation, which names its subject, gets a line
     origin: Dict[str, int] = {}
+    block: Dict[str, int] = {}  # the same for the lines of the open agent block
+
+    def once(declared: Dict[str, int], subject: str, lineno: int) -> None:
+        if subject in declared:
+            raise SystemParseError(f"{subject} already declared at line {declared[subject]}",
+                                   lineno)
+        declared[subject] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -524,10 +534,13 @@ def parse_system(text: str) -> InterpretedSystem:
                  "protocol": {}, "transitions": []}
             )
             origin[f"agent {rest}"] = lineno
+            block = {}
         elif head in ("states", "init", "actions", "protocol", "trans"):
             if not agents:
                 raise SystemParseError(f"{head!r} before any agent block", lineno)
             current = agents[-1]
+            if head in ("states", "init", "actions"):
+                once(block, f"agent {current['name']}: {head}", lineno)
             if head == "states":
                 current["states"] = tuple(rest.split())
             elif head == "init":
@@ -538,6 +551,7 @@ def parse_system(text: str) -> InterpretedSystem:
                 state, colon, acts = rest.partition(":")
                 if not colon:
                     raise SystemParseError("protocol needs 'STATE: actions'", lineno)
+                once(block, f"agent {current['name']}: protocol {state.strip()}", lineno)
                 current["protocol"][state.strip()] = tuple(acts.split())
             else:
                 parts = rest.split()
@@ -555,13 +569,14 @@ def parse_system(text: str) -> InterpretedSystem:
             if not eq or not (value.startswith("(") and value.endswith(")")):
                 raise SystemParseError("config needs 'ALIAS = (l0,...,lm)'", lineno)
             name = name.strip()
+            once(origin, f"config {name}", lineno)
             aliases[name] = tuple(s.strip() for s in value[1:-1].split(","))
-            origin[f"config {name}"] = lineno
         elif head == "label":
             name, eq, value = rest.partition("=")
             if not eq:
                 raise SystemParseError("label needs 'VAR = REGEX'", lineno)
-            label_lines.append((name.strip(), value.strip(), lineno))
+            once(origin, f"label {name.strip()}", lineno)
+            label_lines.append((name.strip(), value.strip()))
         else:
             raise SystemParseError(f"unknown directive {head!r}", lineno)
 
@@ -575,8 +590,7 @@ def parse_system(text: str) -> InterpretedSystem:
         system = InterpretedSystem([LocalComponent(**a) for a in agents], {}, aliases)
         alias_to_symbol = {name: config_str(cfg) for name, cfg in aliases.items()}
         labelling: Dict[str, RegexExpr] = {}
-        for var, expr_text, lineno in label_lines:
-            origin[f"label {var}"] = lineno
+        for var, expr_text in label_lines:
             try:
                 labelling[var] = parse_regex(expr_text, system.alphabet, alias_to_symbol)
             except InputError as exc:

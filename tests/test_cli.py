@@ -151,7 +151,10 @@ class TestCheckExits:
         assert err.count("\n") == 1 and "agent" in err
 
     def test_spaces_in_an_agent_set(self, capsys):
-        assert run(capsys, "check", IS_EX, "C{0, 1} p") == run(capsys, "check", IS_EX, "C{0,1} p")
+        # the --json report carries no elapsed time, so two runs compare whole
+        spaced = run(capsys, "check", IS_EX, "C{0, 1} p", "--json")
+        assert spaced == run(capsys, "check", IS_EX, "C{0,1} p", "--json")
+        assert spaced[0] == 1 and json.loads(spaced[1])["formula"] == "C{0,1} p"
 
     @pytest.mark.parametrize("formula", ["C{0,1} <L> p", "K{1} <L> p"])
     def test_class_order_does_not_depend_on_string_hashing(self, tmp_path, formula):
@@ -417,6 +420,16 @@ label p = ct
         code, out, err = run(capsys, "check", str(path), *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: line {line}: {message}\n"
+
+    def test_repeated_declaration_is_exit_2(self, capsys, tmp_path):
+        # loaded with the later copies winning, q read g2 and held at g2,
+        # and p read (l0,l2) ((l0,l2) + (l0,l2))* (l0,l3)
+        path = tmp_path / "repeated.isrl"
+        path.write_text(IS_EX_TEXT + "label q = g1\nlabel q = g2\nconfig g1 = (l0,l2)\n")
+        code, out, err = run(capsys, "check", str(path), "q", "--interval", "g2")
+        assert (code, out) == (2, "")
+        line = IS_EX_TEXT.count("\n") + 2
+        assert err == f"error: {path}: line {line}: label q already declared at line {line - 1}\n"
 
     def test_warnings_go_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "deadlock.isrl"

@@ -70,8 +70,10 @@ def extend(inner, relations=RELATIONS, agents=AGENTS):
 
 def formulas(atoms: bool, agents=AGENTS, variables=VARIABLES):
     """Formula text from a small grammar (regex atoms only when `atoms`),
-    or one time in five junk."""
-    leaves = st.sampled_from(["pi", "true", "false", *variables, *(ATOMS if atoms else [])])
+    or one time in five junk. A leaf names a variable about as often as
+    it is a constant or an atom."""
+    leaves = st.one_of(st.sampled_from(variables),
+                       st.sampled_from(["pi", "true", "false", *(ATOMS if atoms else [])]))
     grammar = st.recursive(leaves, lambda inner: extend(inner, agents=agents), max_leaves=3)
     junk = st.text(alphabet="pqz!&|-<>[]{}(),*+ KCAT015@²", min_size=1, max_size=12)
     return st.one_of(grammar, grammar, grammar, grammar, junk).map(
@@ -277,7 +279,7 @@ def test_generated_systems_with_unusual_names(root):
     formula over its names; one that does not load is exit 2 whatever
     the command."""
     path = root / "named.isrl"
-    compared, rejected, unusual = [], [], []
+    compared, rejected, unusual, named = [], [], [], []
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -314,7 +316,9 @@ def test_generated_systems_with_unusual_names(root):
             checked = checked_formula(line) if status in (0, 1) else None
             if checked is not None and any("." in var or not var.isascii() for var in variables_of(checked)):
                 unusual.append(line)
+            if checked is not None and variables_of(checked) and line is argv:
+                named.append(line)
 
     run()
     assert len(compared) >= 10, compared
-    assert rejected and unusual, (rejected, unusual)
+    assert rejected and unusual and named, (rejected, unusual, named)

@@ -350,6 +350,29 @@ class TestValidation:
             load_system(str(path))
         assert str(exc.value) == f"{path}: line 8: agent Env: duplicate agent name"
 
+    # (line after which a copy is inserted, the copy, its message); the
+    # running example's lines: 3-6 Env's block, 9-14 Proc's declarations,
+    # 20-22 the configs and 23 the label
+    @pytest.mark.parametrize("after, copy, message", [
+        (9, "  states l1 l2 l3", "agent Proc: states already declared at line 9"),
+        (10, "  init l2", "agent Proc: init already declared at line 10"),
+        (5, "  actions a1", "agent Env: actions already declared at line 5"),
+        (14, "  protocol l2: eps", "agent Proc: protocol l2 already declared at line 13"),
+        (23, "config g1 = (l0,l2)", "config g1 already declared at line 20"),
+        (23, "label p = g2", "label p already declared at line 23"),
+    ])
+    def test_repeated_declaration_rejected_at_its_line(self, after, copy, message):
+        lines = IS_EX_TEXT.splitlines()
+        lines.insert(after, copy)
+        with pytest.raises(SystemParseError) as exc:
+            parse_system("\n".join(lines) + "\n")
+        assert str(exc.value) == f"line {after + 1}: {message}"
+
+    def test_transitions_may_repeat_and_blocks_declare_apart(self, is_ex):
+        # both agents declare states, init, actions and a protocol
+        text = IS_EX_TEXT.replace("  trans l1 (a1,eps) l2\n", "  trans l1 (a1,eps) l2\n" * 2)
+        assert parse_system(text).successors(is_ex.initial) == is_ex.successors(is_ex.initial)
+
     def test_rejections_name_their_line(self, is_ex):
         text = format_system(is_ex) + "config bad = (l0,l9)\n"
         with pytest.raises(SystemParseError) as exc:
