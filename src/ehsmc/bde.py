@@ -51,7 +51,9 @@ def evaluate(
 ) -> bool:
     """Truth of a prepared formula (see `formulas.prepare`) on the
     interval. Atoms, knowledge operators and diamonds are decided once
-    per (subformula, interval) pair in a call."""
+    per (subformula, interval) pair in a call. A `K` or `C` node is
+    decided once per class: its verdict is stored for every member,
+    since the members of an equivalence class share it."""
     memo: Dict[Tuple[int, Path], bool] = {}
 
     def holds(node: Formula, cfgs: Path) -> bool:
@@ -80,12 +82,20 @@ def evaluate(
                     if not holds(node.sub, member):
                         value = False
                         break
+                # every member has this same class, so the same verdict
+                for member in members:
+                    memo[(id(node), member)] = value
             else:
                 raise TypeError(f"not a prepared formula node: {node!r}")
             memo[key] = value
         return value
 
-    return holds(root, configs)
+    try:
+        return holds(root, configs)
+    finally:
+        # holds reaches itself through its closure; a cycle would keep
+        # the memo alive until the cyclic collector found it
+        del holds
 
 
 def check_bde(sys: InterpretedSystem, interval: Interval, f: Formula) -> bool:

@@ -379,7 +379,10 @@ def transform(f: Formula, step: Callable[[Formula], Formula]) -> Formula:
                 node = rebuild(node, new)
         return step(node)
 
-    return go(f)
+    try:
+        return go(f)
+    finally:
+        del go  # go reaches itself through its closure: break the cycle
 
 
 def _normalize_step(f: Formula) -> Formula:

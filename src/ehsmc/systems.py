@@ -430,7 +430,7 @@ def epi_class(sys: InterpretedSystem, configs: Path, agent: int) -> Tuple[Path, 
     lexicographic order: the layers extend sorted paths by sorted
     successors."""
     if not (0 <= agent < len(sys.agents)):
-        raise IndexError(f"agent index {agent} out of range")
+        raise InputError(f"agent index {agent} out of range")
     target = [g[agent] for g in configs]
     partial: List[Path] = [(g,) for g in sys.reachable if g[agent] == target[0]]
     for want in target[1:]:
@@ -446,15 +446,25 @@ def epi_class(sys: InterpretedSystem, configs: Path, agent: int) -> Tuple[Path, 
 def common_class(sys: InterpretedSystem, configs: Path, group: Iterable[int]) -> Tuple[Path, ...]:
     """Closure of the interval under the epistemic classes of every
     agent in the group (the common-knowledge reachability set), in
-    breadth-first order from the interval."""
+    breadth-first order from the interval.
+
+    Members an agent cannot tell apart share one class, so each class of
+    each agent (one per local-state sequence) is built once, from the
+    first of its members the walk reaches: built again from another
+    member, it would add nothing."""
     agents = sorted(set(group))
     if not agents:
-        raise ValueError("agent group must be non-empty")
+        raise InputError("agent group must be non-empty")
     seen = {configs}
     queue = [configs]
+    built: Dict[int, Set[Path]] = {i: set() for i in agents}
     for current in queue:  # also visits what is appended on the way
         for i in agents:
-            for other in epi_class(sys, current, i):
+            if current in built[i]:
+                continue
+            members = epi_class(sys, current, i)
+            built[i].update(members)
+            for other in members:
                 if other not in seen:
                     seen.add(other)
                     queue.append(other)

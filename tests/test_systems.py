@@ -254,7 +254,7 @@ class TestEpistemic:
                     assert set(epi_class(is_ex, member, agent)) <= closure
 
     def test_bad_agent_index(self, is_ex, gs):
-        with pytest.raises(IndexError):
+        with pytest.raises(InputError):
             epi_class(is_ex, cfgs(gs, "g1"), 7)
 
 
