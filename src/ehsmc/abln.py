@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bde import Holds, evaluate
@@ -54,7 +55,6 @@ from .systems import (
     Relation,
     allen_successors,
     common_class,
-    config_str,
     epi_class,
     forward_frame,
     validate_interval,
@@ -131,35 +131,34 @@ DEFAULT_FRONTIER_CEILING = 10**7
 def _boolean_satisfier(
     sys: InterpretedSystem, operand: Formula
 ) -> Tuple[List[str], "object"]:
-    """Compile a modal-free operand into (variable list, closure over
+    """Compile a modal-free operand into (variable list, function of
     (accepting-flags, point-flag))."""
     if not modal_free(operand):
         raise ValueError("operand must be modal-free")
     node = normalize(operand)
     names = sorted(variables_of(node))
-    index = {name: i for i, name in enumerate(names)}
+    return names, partial(_satisfies, node, {name: i for i, name in enumerate(names)})
 
-    def sat(accepting: Tuple[bool, ...], point: bool) -> bool:
-        def ev(n: Formula) -> bool:
-            if isinstance(n, Pi):
-                return point
-            if isinstance(n, Top):
-                return True
-            if isinstance(n, Bot):
-                return False
-            if isinstance(n, Var):
-                return accepting[index[n.name]]
-            if isinstance(n, Not):
-                return not ev(n.sub)
-            if isinstance(n, And):
-                return ev(n.left) and ev(n.right)
-            if isinstance(n, Atom):
-                raise ValueError("reduce regex atoms to variables first")
-            raise TypeError(f"unexpected node {n!r}")
 
-        return ev(node)
-
-    return names, sat
+def _satisfies(n: Formula, index: Dict[str, int], accepting: Tuple[bool, ...],
+               point: bool) -> bool:
+    """Truth of a normalized modal-free formula, given whether the
+    automaton of the variable at each `index` position accepts, and
+    pointhood. A module-level function, so a call leaves no cycle."""
+    if isinstance(n, Pi):
+        return point
+    if isinstance(n, (Top, Bot)):
+        return isinstance(n, Top)
+    if isinstance(n, Var):
+        return accepting[index[n.name]]
+    if isinstance(n, Not):
+        return not _satisfies(n.sub, index, accepting, point)
+    if isinstance(n, And):
+        return (_satisfies(n.left, index, accepting, point)
+                and _satisfies(n.right, index, accepting, point))
+    if isinstance(n, Atom):
+        raise ValueError("reduce regex atoms to variables first")
+    raise TypeError(f"unexpected node {n!r}")
 
 
 _State = Tuple[GlobalConfig, Tuple[str, ...], bool]
@@ -186,8 +185,7 @@ def regular_witness_search(
     prefix, starts = forward_frame(sys, interval.configs, relation)
 
     def advance(states: Tuple[str, ...], g: GlobalConfig) -> Tuple[str, ...]:
-        sym = config_str(g)
-        return tuple(dfa.step[(s, sym)] for dfa, s in zip(dfas, states))
+        return tuple(dfa.step[(s, g)] for dfa, s in zip(dfas, states))
 
     states = tuple(d.initial for d in dfas)
     for g in prefix:
@@ -358,9 +356,8 @@ def compute_mct(
         return list(allen_successors(sys, cfgs, modal.relation, max_len=horizon))
 
     def build(node: Formula, cfgs: Path) -> Mct:
-        word = [config_str(g) for g in cfgs]
         states = tuple(
-            (var, run(sys.dfa_for(var), word)) for var in sorted(sys.variables)
+            (var, run(sys.dfa_for(var), cfgs)) for var in sorted(sys.variables)
         )
         children: List[Tuple[str, Tuple[Mct, ...]]] = []
         # (display key, modal node) per top-level subformula

@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import ANY_LETTER, FORMULA_CONSTANTS, INDEX, NAME, InputError
-from .regexes import RegexExpr, Sym, fold_right, parse_regex, regex_to_text, symbols_of
+from .regexes import RegexExpr, Sym, Symbol, fold_right, parse_regex, regex_to_text, symbols_of
 from .systems import UNBOUNDED_RELATIONS, InterpretedSystem, Relation
 
 AgentRef = Union[int, str]
@@ -559,26 +559,26 @@ def variables_of(f: Formula) -> Set[str]:
     return out
 
 
-def predicate_variables(symbol: str) -> List[str]:
+def predicate_variables(symbol: Symbol) -> List[str]:
     """Variables a letter predicate names: none for `T`, `p` for `!p`,
-    the listed ones for a tuple `(p,q)`, else the symbol itself."""
+    the listed ones for a tuple ("p", "q"), else the symbol itself."""
+    if isinstance(symbol, tuple):
+        return list(symbol)
     if symbol == ANY_LETTER:
         return []
     if symbol.startswith("!"):
         return [symbol[1:]]
-    if symbol.startswith("(") and symbol.endswith(")"):
-        return [part for part in symbol[1:-1].split(",") if part]
     return [symbol]
 
 
-def letter_predicate_holds(symbol: str, valuation: FrozenSet[str]) -> bool:
+def letter_predicate_holds(symbol: Symbol, valuation: FrozenSet[str]) -> bool:
     """Interpret one letter predicate against the set of variables true
-    at a configuration: `T` any letter, `!p` absence, `(p,q)` the exact
-    valuation, a bare name presence."""
+    at a configuration: `T` any letter, `!p` absence, a tuple ("p", "q")
+    the exact valuation, a bare name presence."""
+    if isinstance(symbol, tuple):
+        return valuation == set(symbol)
     if symbol.startswith("!"):
         return symbol[1:] not in valuation
-    if symbol.startswith("(") and symbol.endswith(")"):
-        return valuation == set(predicate_variables(symbol))
     return symbol == ANY_LETTER or symbol in valuation
 
 
@@ -634,7 +634,10 @@ def _interval_type_bound(
             value += 1
         return value if cap is None else min(value, cap)
 
-    return go(g, cap)
+    try:
+        return go(g, cap)
+    finally:
+        del go  # go reaches itself through its closure: break the cycle
 
 
 def fis_bound(sys: InterpretedSystem, f: Formula, cap: Optional[int] = None) -> int:

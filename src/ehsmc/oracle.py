@@ -36,7 +36,7 @@ from .formulas import (
     normalize,
     resolve_agents,
 )
-from .regexes import denotes
+from .regexes import denotes, symbol_text
 from .systems import (
     AnchoredInterval,
     GlobalConfig,
@@ -45,7 +45,6 @@ from .systems import (
     Path,
     Relation,
     common_class,
-    config_str,
     epi_class,
 )
 
@@ -59,7 +58,7 @@ def _check_anchoring(sys: InterpretedSystem, anchored: AnchoredInterval) -> None
     for a, b in zip(path, path[1:]):
         if b not in sys.successors(a):
             raise InputError(
-                f"{config_str(a)} -> {config_str(b)} is not a global step"
+                f"{symbol_text(a)} -> {symbol_text(b)} is not a global step"
             )
 
 
@@ -117,9 +116,8 @@ def oracle_check(
 
     def valuation(g: GlobalConfig) -> FrozenSet[str]:
         if g not in valuations:
-            word = [config_str(g)]
             valuations[g] = frozenset(
-                var for var, expr in sys.labelling.items() if denotes(expr, word)
+                var for var, expr in sys.labelling.items() if denotes(expr, (g,))
             )
         return valuations[g]
 
@@ -137,7 +135,7 @@ def oracle_check(
         if isinstance(node, Bot):
             return False
         if isinstance(node, Var):
-            return denotes(sys.labelling[node.name], [config_str(g) for g in c])
+            return denotes(sys.labelling[node.name], c)
         if isinstance(node, Atom):
             return denotes(node.expr, [valuation(g) for g in c],
                            match=letter_predicate_holds)
@@ -228,7 +226,10 @@ def oracle_check(
         else:
             raise ValueError(f"unhandled relation {relation}")
 
-    return check(root, anchored.history, anchored.interval.configs)
+    try:
+        return check(root, anchored.history, anchored.interval.configs)
+    finally:
+        del check, evaluate  # each reaches the other through its closure: break the cycle
 
 
 def minimal_anchor(sys: InterpretedSystem, interval: Interval) -> AnchoredInterval:
@@ -258,4 +259,4 @@ def minimal_anchor(sys: InterpretedSystem, interval: Interval) -> AnchoredInterv
                         back = parents[back]
                     return AnchoredInterval(tuple(reversed(history)), interval)
         frontier = nxt
-    raise InputError(f"{config_str(target)} is not reachable")
+    raise InputError(f"{symbol_text(target)} is not reachable")

@@ -28,13 +28,14 @@ from .regexes import (
     LanguageShape,
     RegexExpr,
     Sym,
+    Symbol,
     language_shape,
     map_symbols,
     regex_to_text,
     subexpressions,
     union_of,
 )
-from .systems import GlobalConfig, InterpretedSystem, config_str
+from .systems import GlobalConfig, InterpretedSystem
 
 
 def _expr_size(expr: RegexExpr) -> int:
@@ -57,11 +58,10 @@ def _point_valuations(
     out: Dict[GlobalConfig, frozenset] = {}
     dfas = {var: sys.dfa_for(var) for var in sys.variables}
     for g in sys.all_configs:
-        sym = config_str(g)
         out[g] = frozenset(
             var
             for var, dfa in dfas.items()
-            if dfa.step[(dfa.initial, sym)] in dfa.accepting
+            if dfa.step[(dfa.initial, g)] in dfa.accepting
         )
     return out
 
@@ -77,15 +77,11 @@ def lambda_compose(sys: InterpretedSystem, r: RegexExpr) -> RegexExpr:
     _require_point_based(sys)
     valuations = _point_valuations(sys)
 
-    def matching(symbol: str) -> List[str]:
+    def matching(symbol: Symbol) -> List[GlobalConfig]:
         for name in predicate_variables(symbol):
             if name not in sys.labelling:
                 raise InputError(f"unknown variable {name!r}")
-        return [
-            config_str(g)
-            for g in sys.all_configs
-            if letter_predicate_holds(symbol, valuations[g])
-        ]
+        return [g for g in sys.all_configs if letter_predicate_holds(symbol, valuations[g])]
 
     return map_symbols(r, lambda symbol: union_of([Sym(s) for s in matching(symbol)]))
 
@@ -107,10 +103,8 @@ def to_point_based(
     interval; symbols of unreachable configurations are rewritten to an
     empty-language subexpression since no model interval contains
     them."""
-    fresh = {config_str(g): _fresh_config_name(sys, g) for g in sys.reachable}
-    new_labelling: Dict[str, RegexExpr] = {
-        fresh[config_str(g)]: Sym(config_str(g)) for g in sys.reachable
-    }
+    fresh = {g: _fresh_config_name(sys, g) for g in sys.reachable}
+    new_labelling: Dict[str, RegexExpr] = {name: Sym(g) for g, name in fresh.items()}
     new_sys = sys.with_labelling(new_labelling)
 
     def inline(node: Formula) -> Formula:

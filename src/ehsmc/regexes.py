@@ -1,4 +1,8 @@
-"""Regular expressions over finite alphabets of opaque symbols.
+"""Regular expressions over finite alphabets of symbols.
+
+A symbol is a name or a tuple of names, such as a system configuration
+("l0", "l1"), spelled "(l0,l1)" by `symbol_text` only where text is read
+or written (parsing, printing, DOT and error messages).
 
 Two independent evaluation routes are provided on purpose. `denotes`
 decides membership directly on the expression tree via derivatives,
@@ -27,6 +31,7 @@ mode), or any other character, which is an error naming its position.
 from __future__ import annotations
 
 import re as _stdre
+import typing
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -42,15 +47,22 @@ from typing import (
 
 from .errors import LABEL_CONSTANTS, NAME, InputError
 
-Symbol = str
+Symbol = typing.Union[str, Tuple[str, ...]]
+
+
+def symbol_text(symbol: Symbol) -> str:
+    """The one spelling of a symbol: a name as itself, a tuple of names
+    as "(l0,l1,...)"."""
+    return symbol if isinstance(symbol, str) else "(" + ",".join(symbol) + ")"
 
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite set of opaque symbol identifiers.
+    """Ordered finite set of symbols: all names, or all tuples of names.
 
-    Symbols are kept sorted lexicographically so that state numbering
-    and DOT output downstream are reproducible.
+    Symbols are kept sorted so that state numbering and DOT output
+    downstream are reproducible. Names hold no character that sorts
+    before ",", so tuples sort as their spellings do.
     """
 
     symbols: Tuple[Symbol, ...]
@@ -58,9 +70,9 @@ class Alphabet:
     def __post_init__(self) -> None:
         syms = tuple(self.symbols)
         if not syms:
-            raise ValueError("alphabet must be non-empty")
+            raise InputError("alphabet must be non-empty")
         if len(set(syms)) != len(syms):
-            raise ValueError("alphabet symbols must be pairwise distinct")
+            raise InputError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "symbols", tuple(sorted(syms)))
         object.__setattr__(self, "_members", frozenset(syms))
 
@@ -175,8 +187,8 @@ class RegexSyntaxError(InputError):
 
 
 class UnknownSymbolError(InputError):
-    def __init__(self, token: str, position: int):
-        super().__init__(f"unknown symbol {token!r} (at position {position})")
+    def __init__(self, token: Symbol, position: int):
+        super().__init__(f"unknown symbol {symbol_text(token)!r} (at position {position})")
         self.token = token
         self.position = position
 
@@ -217,16 +229,16 @@ _CONSTANTS = dict(zip(LABEL_CONSTANTS, (EMPTY, EPSILON)))
 _CONSTANT_TEXT = {type(node): text for text, node in _CONSTANTS.items()}
 
 
-def _tokenize(text: str, predicate_mode: bool) -> List[Tuple[str, str, int]]:
+def _tokenize(text: str, predicate_mode: bool) -> List[Tuple[str, Symbol, int]]:
     """The (kind, value, position) tokens of the text, ending with "eof".
-    Whitespace inside a tuple symbol is dropped, and a "!" glued to a name
+    A tuple symbol is the tuple of its names, and a "!" glued to a name
     is part of the symbol in predicate mode only."""
-    tokens: List[Tuple[str, str, int]] = []
+    tokens: List[Tuple[str, Symbol, int]] = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         value, pos = m.group(kind), m.start(kind)
         if kind == "tuple":
-            tokens.append(("sym", "".join(value.split()), pos))
+            tokens.append(("sym", tuple(part.strip() for part in value[1:-1].split(",")), pos))
         elif kind == "op":
             tokens.append(("op", value, pos))
         elif kind == "word" and (predicate_mode or value[0] != "!"):
@@ -313,7 +325,7 @@ class _RegexParser:
             return expr
         raise RegexSyntaxError(f"unexpected token {value!r}", pos)
 
-    def _resolve(self, token: str, pos: int) -> Symbol:
+    def _resolve(self, token: Symbol, pos: int) -> Symbol:
         if token in self.aliases:
             return self.aliases[token]
         if self.alphabet is None or token in self.alphabet:
@@ -331,8 +343,9 @@ def parse_regex(
 
     Precedence is star > concatenation > union; juxtaposition and ";"
     both denote concatenation; "empty" and "eps" are the constant
-    languages. With `alphabet` given, symbol tokens must name alphabet
-    members or keys of `aliases` (which map display names to symbols).
+    languages. "(a, b)" is the tuple symbol ("a", "b"). With `alphabet`
+    given, symbol tokens must name alphabet members or keys of `aliases`
+    (which map display names to symbols).
     With alphabet None any identifier is accepted, which is how the
     letter-predicate atoms of the regex-labelled logic are parsed.
     """
@@ -346,8 +359,9 @@ def parse_regex(
 
 
 def regex_to_text(expr: RegexExpr, display: Optional[Callable[[Symbol], str]] = None) -> str:
-    """Render an AST back to concrete syntax (parse/print round-trips)."""
-    disp = display or (lambda s: s)
+    """Render an AST back to concrete syntax (parse/print round-trips);
+    symbols are spelled by `display`, by default `symbol_text`."""
+    disp = display or symbol_text
 
     def prec(e: RegexExpr) -> int:
         if isinstance(e, Union):
@@ -619,9 +633,9 @@ def compile_regex(expr: RegexExpr, alphabet: Alphabet) -> Dfa:
     closure. The empty subset acts as the dead state, so the result is
     complete.
     """
-    stray = symbols_of(expr) - set(alphabet.symbols)
+    stray = sorted(symbol_text(s) for s in symbols_of(expr) if s not in alphabet)
     if stray:
-        raise ValueError(f"expression symbols outside the alphabet: {sorted(stray)}")
+        raise InputError(f"expression symbols outside the alphabet: {stray}")
 
     # Position 0 is the start: it reads nothing and is followed by the
     # expression's first positions.
@@ -749,11 +763,11 @@ def dfa_to_dot(dfa: Dfa) -> str:
         lines.append(f'  "{state}" [{", ".join(attrs)}];')
     lines.append(f'  __init -> "{dfa.initial}";')
     for src in dfa.states:
-        grouped: Dict[str, List[str]] = {}
+        grouped: Dict[str, List[Symbol]] = {}
         for symbol in dfa.alphabet.symbols:
             grouped.setdefault(dfa.step[(src, symbol)], []).append(symbol)
         for dst in sorted(grouped):
-            label = ",".join(grouped[dst])
+            label = ",".join(map(symbol_text, grouped[dst]))
             lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

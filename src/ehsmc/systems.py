@@ -29,6 +29,7 @@ from .regexes import (
     parse_regex,
     regex_to_text,
     run,
+    symbol_text,
     symbols_of,
 )
 
@@ -118,11 +119,11 @@ def _pattern_matches(pattern: Tuple[str, ...], joint: Tuple[str, ...]) -> bool:
 class InterpretedSystem:
     """Immutable system model with derived transition tables.
 
-    The labelling maps each variable to a regular expression over the
-    full configuration space (every tuple of local states), encoded as
-    canonical strings "(l0,l1,...)". Aliases give configurations
-    friendly display names. A malformed system is rejected with an
-    InputError naming its first violation.
+    The labelling maps each variable to a regular expression whose
+    letters are the configurations themselves: the alphabet is
+    `all_configs`, every tuple of local states. Aliases give
+    configurations friendly display names. A malformed system is
+    rejected with an InputError naming its first violation.
     """
 
     def __init__(
@@ -141,10 +142,7 @@ class InterpretedSystem:
         self.all_configs: Tuple[GlobalConfig, ...] = tuple(
             itertools.product(*(sorted(a.states) for a in self.agents))
         )
-        names = tuple(config_str(g) for g in self.all_configs)
-        self.alphabet = Alphabet(names)
-        self._by_name: Dict[str, GlobalConfig] = {**dict(zip(names, self.all_configs)),
-                                                  **self.aliases}
+        self.alphabet = Alphabet(self.all_configs)
 
         self._display: Dict[GlobalConfig, str] = {}
         for alias, cfg in self.aliases.items():
@@ -168,11 +166,9 @@ class InterpretedSystem:
         for var, why in _bad_names(labelling, (*FORMULA_CONSTANTS, *LABEL_CONSTANTS, ANY_LETTER)):
             raise InputError(f"label {var}: {var!r} {why}")
         for var, expr in labelling.items():
-            stray = {s for s in symbols_of(expr) if s not in self.alphabet}
+            stray = sorted(symbol_text(s) for s in symbols_of(expr) if s not in self.alphabet)
             if stray:
-                raise InputError(
-                    f"label {var}: symbols outside the configuration space: {sorted(stray)}"
-                )
+                raise InputError(f"label {var}: symbols outside the configuration space: {stray}")
         self.labelling: Dict[str, RegexExpr] = dict(labelling)
         self.variables: Tuple[str, ...] = tuple(labelling.keys())
         self._dfas: Dict[str, Dfa] = {}
@@ -230,13 +226,18 @@ class InterpretedSystem:
         return self._succ.get(g, ())
 
     def display(self, g: GlobalConfig) -> str:
-        return self._display.get(g, config_str(g))
+        return self._display.get(g, symbol_text(g))
 
     def config_by_name(self, name: str) -> GlobalConfig:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise InputError(f"unknown configuration {name!r}") from None
+        """The configuration an alias names, or the one spelled
+        "(l0,l1,...)" with one local state per agent and no whitespace."""
+        if name in self.aliases:
+            return self.aliases[name]
+        if name[:1] == "(" and name[-1:] == ")":
+            cfg = tuple(name[1:-1].split(","))
+            if _is_config(cfg, self.agents):
+                return cfg
+        raise InputError(f"unknown configuration {name!r}")
 
     def dfa_for(self, var: str) -> Dfa:
         if var not in self.labelling:
@@ -249,8 +250,8 @@ class InterpretedSystem:
 # What a system's labelling does not affect, in the order the constructor
 # sets it. `with_labelling` copies these one by one: a copy made through
 # __dict__ (copy.copy) reads every attribute about 1.5x slower on CPython 3.11.
-_LABEL_FREE = ("agents", "aliases", "initial", "all_configs", "alphabet", "_by_name",
-               "_display", "_succ", "reachable", "reachable_set")
+_LABEL_FREE = ("agents", "aliases", "initial", "all_configs", "alphabet", "_display",
+               "_succ", "reachable", "reachable_set")
 
 
 _is_name = re.compile(NAME).fullmatch
@@ -311,14 +312,13 @@ def _violations(
     for alias, why in _bad_names(aliases, LABEL_CONSTANTS):
         yield f"config {alias}: {alias!r} {why}"
     for alias, cfg in aliases.items():
-        if len(cfg) != n or any(
-            l not in agent.states for l, agent in zip(cfg, agents)
-        ):
+        if not _is_config(cfg, agents):
             yield f"config {alias}: {cfg} is not a configuration"
 
 
-def config_str(g: GlobalConfig) -> str:
-    return "(" + ",".join(g) + ")"
+def _is_config(cfg: GlobalConfig, agents: Sequence[LocalComponent]) -> bool:
+    """Whether the tuple holds one declared local state per agent."""
+    return len(cfg) == len(agents) and all(l in a.states for l, a in zip(cfg, agents))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +326,10 @@ def config_str(g: GlobalConfig) -> str:
 
 
 def label_holds(sys: InterpretedSystem, var: str, configs: Path) -> bool:
-    """Compiled-DFA route: the canonical configuration word of the
-    interval is accepted by the minimal automaton of the variable."""
+    """Compiled-DFA route: the minimal automaton of the variable accepts
+    the interval's configurations, read as its letters."""
     dfa = sys.dfa_for(var)
-    return run(dfa, [config_str(g) for g in configs]) in dfa.accepting
+    return run(dfa, configs) in dfa.accepting
 
 
 def validate_interval(sys: InterpretedSystem, interval: Interval) -> Path:
@@ -598,11 +598,10 @@ def parse_system(text: str) -> InterpretedSystem:
 
     try:
         system = InterpretedSystem([LocalComponent(**a) for a in agents], {}, aliases)
-        alias_to_symbol = {name: config_str(cfg) for name, cfg in aliases.items()}
         labelling: Dict[str, RegexExpr] = {}
         for var, expr_text in label_lines:
             try:
-                labelling[var] = parse_regex(expr_text, system.alphabet, alias_to_symbol)
+                labelling[var] = parse_regex(expr_text, system.alphabet, aliases)
             except InputError as exc:
                 raise InputError(f"label {var}: {exc}") from exc
         return system.with_labelling(labelling)
@@ -649,29 +648,20 @@ def format_system(sys: InterpretedSystem) -> str:
 
     # Every configuration mentioned in a label needs a printable name;
     # single-agent systems cannot use inline tuples, so make aliases up.
-    symbol_to_alias = {config_str(cfg): alias for alias, cfg in sys.aliases.items()}
-    needed: Set[str] = set()
-    for expr in sys.labelling.values():
-        needed |= symbols_of(expr)
-    fresh = 1
-    by_symbol: Dict[str, str] = dict(symbol_to_alias)
-    for sym in sorted(needed):
-        if sym not in by_symbol and len(sys.agents) == 1:
+    lines += [f"config {alias} = {symbol_text(cfg)}" for alias, cfg in sys.aliases.items()]
+    by_symbol = {cfg: alias for alias, cfg in sys.aliases.items()}
+    if len(sys.agents) == 1:
+        fresh = 1
+        for cfg in sorted(set().union(*map(symbols_of, sys.labelling.values())) - by_symbol.keys()):
             while f"cfg{fresh}" in sys.aliases:
                 fresh += 1
-            by_symbol[sym] = f"cfg{fresh}"
+            by_symbol[cfg] = f"cfg{fresh}"
+            lines.append(f"config cfg{fresh} = {symbol_text(cfg)}")
             fresh += 1
-    emitted: Set[str] = set()
-    for alias, cfg in sys.aliases.items():
-        lines.append(f"config {alias} = {config_str(cfg)}")
-        emitted.add(alias)
-    for sym, alias in sorted(by_symbol.items()):
-        if alias not in emitted:
-            lines.append(f"config {alias} = {sym}")
-            emitted.add(alias)
 
     for var in sys.variables:
-        text = regex_to_text(sys.labelling[var], display=lambda s: by_symbol.get(s, s))
+        text = regex_to_text(sys.labelling[var],
+                             display=lambda s: by_symbol.get(s) or symbol_text(s))
         lines.append(f"label {var} = {text}")
     return "\n".join(lines) + "\n"
 

@@ -63,7 +63,6 @@ from ehsmc.systems import (
     Interval,
     Path,
     Relation,
-    config_str,
     format_system,
     label_holds,
     parse_system,
@@ -254,7 +253,7 @@ def test_criterion_02_labelling_automaton(is_ex):
     assert len(dfa.states) == 4
     assert len(dfa.accepting) == 1
     expr = is_ex.labelling["p"]
-    symbols = [config_str(g) for g in is_ex.all_configs]
+    symbols = is_ex.all_configs
     words = 0
     for length in range(7):
         for word in itertools.product(symbols, repeat=length):
@@ -386,7 +385,7 @@ def test_criterion_06_translation_round_trips():
             assert oracle_check(back, anchored, f_plus, 6) == want
         pairs += 1
 
-    letters = ["p", "q", "!p", "!q", "T", "(p,q)"]
+    letters = ["p", "q", "!p", "!q", "T", ("p", "q")]
 
     def letter_expr(size):
         if size <= 1:

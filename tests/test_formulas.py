@@ -122,7 +122,7 @@ class TestParsing:
 
     def test_negated_literal_and_subset_predicates(self):
         f = parse_re("{!p (p,q)}")
-        assert f == Atom(Concat(Sym("!p"), Sym("(p,q)")))
+        assert f == Atom(Concat(Sym("!p"), Sym(("p", "q"))))
 
     @pytest.mark.parametrize("text, expected", [
         ("C{0, 1} p", C((0, 1), Var("p"))),
@@ -295,9 +295,9 @@ class TestStructure:
         assert not letter_predicate_holds("r", val)
         assert letter_predicate_holds("!r", val)
         assert not letter_predicate_holds("!p", val)
-        assert letter_predicate_holds("(p,q)", val)
-        assert not letter_predicate_holds("(p,q)", frozenset({"p"}))
-        assert letter_predicate_holds("()", frozenset())
+        assert letter_predicate_holds(("p", "q"), val)
+        assert not letter_predicate_holds(("p", "q"), frozenset({"p"}))
+        assert letter_predicate_holds((), frozenset())
 
     def test_resolve_agents(self, is_ex):
         f = parse_plus("K{Proc} p & C{Env,Proc} pi")

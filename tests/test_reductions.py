@@ -55,17 +55,17 @@ def pred(text):
 class TestLambdaCompose:
     def test_variable_becomes_its_configuration(self, two):
         got = lambda_compose(two, pred("p T*"))
-        assert got == Concat(Sym("(s1)"), Star(Union(Sym("(s1)"), Sym("(s2)"))))
+        assert got == Concat(Sym(("s1",)), Star(Union(Sym(("s1",)), Sym(("s2",)))))
 
     def test_empty_denotation_becomes_empty_regex(self, two):
         assert lambda_compose(two, pred("z")) == Empty()
 
     def test_negation_is_complement_within_configs(self, two):
-        assert lambda_compose(two, pred("(!p)*")) == Star(Sym("(s2)"))
+        assert lambda_compose(two, pred("(!p)*")) == Star(Sym(("s2",)))
 
     def test_exact_valuation_tuple(self, two):
         # only g1 is labelled exactly {p}; no configuration is exactly {p,z}
-        assert lambda_compose(two, pred("(p)")) == Sym("(s1)")
+        assert lambda_compose(two, pred("(p)")) == Sym(("s1",))
         assert lambda_compose(two, pred("(p,z)")) == Empty()
 
     def test_unknown_variable(self, two):
@@ -83,14 +83,14 @@ class TestLambdaCompose:
         expr = lambda_compose(sys, pred("p (q + p)*"))
         dfa = compile_regex(expr, sys.alphabet)
         # p marks h, q marks n: any word starting at h is accepted
-        assert dfa.step[(dfa.initial, "(h)")] in {
+        assert dfa.step[(dfa.initial, ("h",))] in {
             s for (s, a), t in dfa.step.items()
         }  # structural smoke; semantic check below
         from ehsmc.regexes import accepts
 
-        assert accepts(dfa, ["(h)"])
-        assert accepts(dfa, ["(h)", "(n)", "(h)"])
-        assert not accepts(dfa, ["(n)"])
+        assert accepts(dfa, [("h",)])
+        assert accepts(dfa, [("h",), ("n",), ("h",)])
+        assert not accepts(dfa, [("n",)])
 
 
 class TestToPointBased:

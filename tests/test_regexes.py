@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ehsmc
 from ehsmc.systems import parse_system
 
 from ehsmc.regexes import (
@@ -88,18 +89,27 @@ class TestParsing:
         assert got == Concat(Sym("(l0,l1)"), Sym("(l0,l2)"))
 
     def test_inline_tuple_symbols(self):
-        alpha = Alphabet(("(l0,l1)", "(l0,l2)"))
+        alpha = Alphabet((("l0", "l1"), ("l0", "l2")))
         got = parse_regex("(l0,l1) (l0,l2)*", alpha)
-        assert got == Concat(Sym("(l0,l1)"), Star(Sym("(l0,l2)")))
+        assert got == Concat(Sym(("l0", "l1")), Star(Sym(("l0", "l2"))))
+
+    def test_tuple_symbol_is_a_value_spelled_once(self):
+        expr = parse_regex("( a , b )")
+        assert expr == Sym(("a", "b"))
+        assert regex_to_text(expr) == "(a,b)"
+        alpha = Alphabet((("a", "b"), ("a", "c")))
+        with pytest.raises(UnknownSymbolError) as exc:
+            parse_regex("(a,b) (b, a)", alpha)
+        assert str(exc.value) == "unknown symbol '(b,a)' (at position 6)"
 
     def test_predicate_mode_accepts_negated_literals(self):
         got = parse_regex("p ; !p ; T", predicate_mode=True)
         assert got == Concat(Sym("p"), Concat(Sym("!p"), Sym("T")))
 
     @pytest.mark.parametrize("text, predicate_mode, expected", [
-        # whitespace inside a tuple symbol is dropped
-        ("( a , b )", False, Sym("(a,b)")),
-        ("(a,\tb,\u3000c)*", False, Star(Sym("(a,b,c)"))),
+        # a tuple symbol is the tuple of its names, whatever the whitespace
+        ("( a , b )", False, Sym(("a", "b"))),
+        ("(a,\tb,\u3000c)*", False, Star(Sym(("a", "b", "c")))),
         # one name, a trailing comma or a part that is not one name: grouping
         ("(a)", False, Sym("a")),
         ("(a,)", False, "unexpected character ',' (at position 2)"),
@@ -113,7 +123,7 @@ class TestParsing:
         # names are Unicode word characters and '.'
         ("a \u00e9", True, Concat(Sym("a"), Sym("\u00e9"))),
         ("eps empty", False, Concat(EPSILON, EMPTY)),
-        ("\u0109.1 (\u00b2,x.y)", False, Concat(Sym("\u0109.1"), Sym("(\u00b2,x.y)"))),
+        ("\u0109.1 (\u00b2,x.y)", False, Concat(Sym("\u0109.1"), Sym(("\u00b2", "x.y")))),
     ])
     def test_token_table(self, text, predicate_mode, expected):
         if isinstance(expected, str):
@@ -277,6 +287,19 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_regex(Sym("g9"), ALPHA)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ehsmc.Alphabet(()), "alphabet must be non-empty"),
+        (lambda: ehsmc.Alphabet(("a", "b", "a")), "alphabet symbols must be pairwise distinct"),
+        # names and tuples mix among stray symbols, spelled as text
+        (lambda: ehsmc.compile_regex(Concat(Sym("x"), Sym(("a", "c"))),
+                                     ehsmc.Alphabet((("a", "b"),))),
+         "expression symbols outside the alphabet: ['(a,c)', 'x']"),
+    ])
+    def test_bad_alphabets_and_stray_symbols_are_input_errors(self, build, message):
+        with pytest.raises(ehsmc.InputError) as exc:
+            build()
+        assert str(exc.value) == message
+
 
 # --- language shape --------------------------------------------------------
 
@@ -434,7 +457,7 @@ class TestLargeAlphabets:
         assert set(whole.step.values()) == {"z1"}
 
         goal = sys_.dfa_for("goal")
-        target = "(e,c2,c0,c1,c1)"
+        target = ("e", "c2", "c0", "c1", "c1")
         assert goal.states == ("z1", "z2")
         assert goal.initial == "z1" and goal.accepting == frozenset({"z2"})
         assert goal.sink is None

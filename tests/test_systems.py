@@ -9,7 +9,7 @@ import time
 import pytest
 
 from ehsmc.errors import InputError
-from ehsmc.regexes import EPSILON, Sym, parse_regex
+from ehsmc.regexes import EPSILON, Sym, denotes, parse_regex, symbol_text
 from ehsmc.systems import (
     AnchoredInterval,
     Interval,
@@ -20,7 +20,6 @@ from ehsmc.systems import (
     _pattern_matches,
     allen_successors,
     common_class,
-    config_str,
     epi_class,
     format_system,
     label_holds,
@@ -73,6 +72,28 @@ class TestRunningExample:
 
     def test_validation_clean(self, is_ex):
         assert system_warnings(is_ex) == []
+
+    def test_config_by_name_reads_aliases_and_tuples(self, is_ex, gs):
+        assert is_ex.config_by_name("g2") == gs["g2"]
+        assert is_ex.config_by_name("(l0,l1)") == ("l0", "l1")
+        # a wrong arity, an undeclared state, whitespace inside the tuple
+        for name in ("(l0)", "(l0,l1,l1)", "(l0,l9)", "(l0, l1)", "l0,l1", "()", "g4"):
+            with pytest.raises(InputError) as exc:
+                is_ex.config_by_name(name)
+            assert str(exc.value) == f"unknown configuration {name!r}"
+
+    @pytest.mark.parametrize("system", ["is_ex", "ring3"])
+    def test_label_holds_agrees_with_denotes(self, is_ex, system):
+        # the automaton and the derivative route read the same letters:
+        # the configurations themselves
+        sys_ = is_ex if system == "is_ex" else parse_system(ring_text(3, (2, 0, 1)))
+        intervals = intervals_up_to(sys_, 4)
+        for var in sys_.variables:
+            expr = sys_.labelling[var]
+            for interval in intervals:
+                assert (label_holds(sys_, var, interval.configs)
+                        == denotes(expr, interval.configs)), (var, interval)
+        assert len(intervals) == (19 if system == "is_ex" else 27 * (1 + 3 + 9 + 27))
 
 
 class TestIntervals:
@@ -400,13 +421,13 @@ class TestValidation:
             "(word characters and '.')"
 
     def test_relabelling_shares_the_step_relation(self, is_ex, gs):
-        relabelled = is_ex.with_labelling({"q": Sym(config_str(gs["g2"]))})
+        relabelled = is_ex.with_labelling({"q": Sym(gs["g2"])})
         assert relabelled._succ is is_ex._succ
         assert relabelled.alphabet is is_ex.alphabet
         assert relabelled.variables == ("q",) and is_ex.variables == ("p",)
         assert label_holds(relabelled, "q", cfgs(gs, "g2"))
         with pytest.raises(InputError, match="outside the configuration space"):
-            is_ex.with_labelling({"q": Sym("(l0,l9)")})
+            is_ex.with_labelling({"q": Sym(("l0", "l9"))})
         assert is_ex.variables == ("p",)
         # nothing the constructor sets is left out
         built = InterpretedSystem(is_ex.agents, {}, is_ex.aliases)
@@ -464,7 +485,7 @@ class TestNameRule:
             return
         system = parse_system(text)
         assert system.config_by_name(name) == ("l0", "l2")
-        assert system.labelling["r"] == Sym("(l0,l2)")
+        assert system.labelling["r"] == Sym(("l0", "l2"))
 
 
 class TestTextFormat:
@@ -487,8 +508,10 @@ class TestTextFormat:
         with pytest.raises(SystemParseError):
             parse_system("agent A\n  init s\nlabel p = q9\n")
 
-    def test_config_str(self):
-        assert config_str(("l0", "l1")) == "(l0,l1)"
+    def test_symbol_text(self):
+        assert symbol_text(("l0", "l1")) == "(l0,l1)"
+        assert symbol_text(("l0",)) == "(l0)"
+        assert symbol_text("g1") == "g1"
 
     def test_modified_transition_shrinks_reachable(self, is_ex):
         proc = is_ex.agents[1]
@@ -588,7 +611,7 @@ class TestSuccessorConstruction:
         # 2,187 configurations, each named in a label as an inline tuple: a
         # scan of the alphabet per symbol makes that label quadratic to parse
         ring = ring_text(7, (1,) * 7)
-        names = [config_str(g) for g in parse_system(ring).all_configs]
+        names = [symbol_text(g) for g in parse_system(ring).all_configs]
         random.Random(0).shuffle(names)
         text = ring + "label every = (" + " + ".join(names) + ")*\n"
         started = time.perf_counter()
