@@ -3,11 +3,14 @@
 Temporal witnesses in this fragment extend intervals forward, so the
 existential searches are capped: by the exact interval-type bound
 (LITERAL mode), by its tighter variant (TIGHT mode), or by a fixed
-user-chosen cap (user mode). Two escape hatches keep practical queries
-exact: modal-free operands are decided completely by reachability in
-the product of the step relation with the per-variable automata, and
-enumerations whose paths run out within the cap are complete whatever
-the cap. Anything else is honestly reported as a bounded verdict.
+user-chosen cap (user mode). A cap bounds only the absence of a
+witness: an interval that satisfies the operand proves the diamond at
+any cap. So a search relies on its cap only when it finds nothing, and
+then only if the cap is below the operand's exact bound and its paths
+did not run out within the cap; such a verdict is reported as bounded.
+Modal-free operands are never capped: they are decided completely by
+reachability in the product of the step relation with the per-variable
+automata.
 
 In every mode, a search whose enumeration frontier would exceed a
 ceiling is refused instead of silently truncated; one layered count of
@@ -19,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .bde import Holds, evaluate
 from .errors import InputError
@@ -78,7 +82,7 @@ class BoundMode:
 
     def __post_init__(self) -> None:
         if self.kind not in ("literal", "tight", "user"):
-            raise ValueError(f"unknown bound mode {self.kind!r}")
+            raise InputError(f"unknown bound mode {self.kind!r}")
         if self.kind == "user":
             if self.cap is None or self.cap < 1:
                 raise InputError("user bound must be a positive integer")
@@ -96,10 +100,11 @@ def user_bound(cap: int) -> BoundMode:
 
 @dataclass(frozen=True)
 class Verdict:
-    """holds plus the regime: Conclusive when every existential was
-    either complete or capped at no less than the exact interval-type
-    bound of its operand; otherwise BoundedAt(k) with k the largest
-    insufficient cap that was relied on."""
+    """holds plus the regime: Conclusive when every existential search
+    either found a witness, saw every related interval, or was capped at
+    no less than the exact interval-type bound of its operand; otherwise
+    BoundedAt(k), with k the largest cap below its operand's bound under
+    which a search found nothing."""
 
     holds: bool
     bounded_at: Optional[int] = None
@@ -134,7 +139,7 @@ def _boolean_satisfier(
     """Compile a modal-free operand into (variable list, function of
     (accepting-flags, point-flag))."""
     if not modal_free(operand):
-        raise ValueError("operand must be modal-free")
+        raise InputError("operand must be modal-free")
     node = normalize(operand)
     names = sorted(variables_of(node))
     return names, partial(_satisfies, node, {name: i for i, name in enumerate(names)})
@@ -157,7 +162,7 @@ def _satisfies(n: Formula, index: Dict[str, int], accepting: Tuple[bool, ...],
         return (_satisfies(n.left, index, accepting, point)
                 and _satisfies(n.right, index, accepting, point))
     if isinstance(n, Atom):
-        raise ValueError("reduce regex atoms to variables first")
+        raise InputError("reduce regex atoms to variables first")
     raise TypeError(f"unexpected node {n!r}")
 
 
@@ -268,30 +273,19 @@ def check_abln(
         raise InputError("frontier ceiling must be a positive integer")
     root = prepare(sys, f, Fragment.ABLN)
     configs = validate_interval(sys, interval)
-    insufficient: List[int] = []
-    operands: Dict[int, Tuple[bool, int, bool]] = {}
-
-    def operand_info(operand: Formula) -> Tuple[bool, int, bool]:
-        """Whether the operand is modal-free, its search cap, and whether
-        that cap reaches its exact bound; worked out once per call."""
-        info = operands.get(id(operand))
-        if info is None:
-            if modal_free(operand):
-                info = (True, 0, True)
-            else:
-                if mode.kind == "user":
-                    cap = mode.cap
-                else:
-                    bound = fis_bound if mode.kind == "literal" else tight_bound
-                    cap = bound(sys, operand, _HUGE)
-                info = (False, cap, fis_bound(sys, operand, cap + 1) <= cap)
-            operands[id(operand)] = info
-        return info
+    bound = tight_bound if mode.kind == "tight" else fis_bound
+    caps: Dict[int, Optional[int]] = {}  # per operand; None when modal-free
+    weighed: Set[int] = set()  # operands whose search came up empty
+    relied: List[int] = []  # the caps below their operand's bound among them
 
     def temporal(node: Diamond, cfgs: Path, holds: Holds) -> bool:
         operand = node.sub
-        free, cap, sufficient = operand_info(operand)
-        if free:
+        key = id(operand)
+        if key not in caps:
+            caps[key] = (None if modal_free(operand) else
+                         mode.cap if mode.cap is not None else bound(sys, operand, _HUGE))
+        cap = caps[key]
+        if cap is None:
             return regular_witness_search(sys, Interval(cfgs), node.relation,
                                           operand) is not None
         max_len = len(cfgs) + cap
@@ -306,15 +300,19 @@ def check_abln(
                 estimate,
                 frontier_ceiling,
             )
-        if not (sufficient or exhausted):
-            insufficient.append(cap)
         for candidate in allen_successors(sys, cfgs, node.relation, max_len):
             if holds(operand, candidate):
                 return True
+        # a witness proves the diamond at any cap; only an empty search
+        # that did not see every related interval relies on the cap
+        if not exhausted and key not in weighed:
+            weighed.add(key)
+            if fis_bound(sys, operand, cap + 1) > cap:
+                relied.append(cap)
         return False
 
     holds = evaluate(sys, root, configs, temporal)
-    return Verdict(holds, max(insufficient) if insufficient else None)
+    return Verdict(holds, max(relied) if relied else None)
 
 
 # ---------------------------------------------------------------------------
@@ -346,60 +344,58 @@ def compute_mct(
     if horizon < 1:
         raise InputError("horizon must be positive")
     root = prepare(sys, f, Fragment.ABLN)
-    configs = validate_interval(sys, interval)
+    return _mct(sys, horizon, root, validate_interval(sys, interval))
 
-    def related(modal: Formula, cfgs: Path) -> Sequence[Path]:
+
+def _mct(sys: InterpretedSystem, horizon: int, node: Formula, cfgs: Path) -> Mct:
+    """The tree of `node` at `cfgs`. A module-level function, so a call
+    leaves no cycle."""
+    states = tuple(
+        (var, run(sys.dfa_for(var), cfgs)) for var in sorted(sys.variables)
+    )
+    children: List[Tuple[str, Tuple[Mct, ...]]] = []
+    # (display key, modal node) per top-level subformula
+    edges = sorted(((f"{head_text(modal)} {format_formula(modal.sub)}", modal)
+                    for modal in top_level_subformulas(node)),
+                   key=lambda edge: edge[0])
+    for key, modal in edges:
         if isinstance(modal, K):
-            return epi_class(sys, cfgs, modal.agent)
-        if isinstance(modal, C):
-            return common_class(sys, cfgs, modal.group)
-        return list(allen_successors(sys, cfgs, modal.relation, max_len=horizon))
-
-    def build(node: Formula, cfgs: Path) -> Mct:
-        states = tuple(
-            (var, run(sys.dfa_for(var), cfgs)) for var in sorted(sys.variables)
-        )
-        children: List[Tuple[str, Tuple[Mct, ...]]] = []
-        # (display key, modal node) per top-level subformula
-        edges = sorted(((f"{head_text(modal)} {format_formula(modal.sub)}", modal)
-                        for modal in top_level_subformulas(node)),
-                       key=lambda edge: edge[0])
-        for key, modal in edges:
-            subtrees = tuple(sorted({
-                build(modal.sub, member) for member in related(modal, cfgs)
-            }))
-            children.append((key, subtrees))
-        return Mct(
-            first=sys.display(cfgs[0]),
-            last=sys.display(cfgs[-1]),
-            point=len(cfgs) == 1,
-            states=states,
-            children=tuple(children),
-        )
-
-    return build(root, configs)
+            related: Sequence[Path] = epi_class(sys, cfgs, modal.agent)
+        elif isinstance(modal, C):
+            related = common_class(sys, cfgs, modal.group)
+        else:
+            related = list(allen_successors(sys, cfgs, modal.relation, max_len=horizon))
+        subtrees = tuple(sorted({_mct(sys, horizon, modal.sub, member) for member in related}))
+        children.append((key, subtrees))
+    return Mct(
+        first=sys.display(cfgs[0]),
+        last=sys.display(cfgs[-1]),
+        point=len(cfgs) == 1,
+        states=states,
+        children=tuple(children),
+    )
 
 
 def mct_to_dot(tree: Mct) -> str:
     """Deterministic DOT rendering; children grouped per subformula."""
     lines = ["digraph mct {", "  node [shape=box];"]
-    counter = [0]
-
-    def emit(node: Mct) -> str:
-        name = f"n{counter[0]}"
-        counter[0] += 1
-        point = format_formula(Pi() if node.point else Not(Pi()))
-        states = ", ".join(f"{var}:{state}" for var, state in node.states)
-        label = f"({node.first}, {node.last}, {point}" + (
-            f" | {states})" if states else ")"
-        )
-        lines.append(f'  {name} [label="{label}"];')
-        for key, subtrees in node.children:
-            for sub in subtrees:
-                child = emit(sub)
-                lines.append(f'  {name} -> {child} [label="{key}"];')
-        return name
-
-    emit(tree)
+    _emit_mct(tree, lines, count())
     lines.append("}")
     return "\n".join(lines)
+
+
+def _emit_mct(node: Mct, lines: List[str], numbers: Iterator[int]) -> str:
+    """Append the node's DOT lines, then its subtrees'; return its name.
+    A module-level function, so a call leaves no cycle."""
+    name = f"n{next(numbers)}"
+    point = format_formula(Pi() if node.point else Not(Pi()))
+    states = ", ".join(f"{var}:{state}" for var, state in node.states)
+    label = f"({node.first}, {node.last}, {point}" + (
+        f" | {states})" if states else ")"
+    )
+    lines.append(f'  {name} [label="{label}"];')
+    for key, subtrees in node.children:
+        for sub in subtrees:
+            child = _emit_mct(sub, lines, numbers)
+            lines.append(f'  {name} -> {child} [label="{key}"];')
+    return name

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys as _sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -70,6 +71,9 @@ EXIT_BOUNDED = 3
 
 _DISPLAY_CAP = 10**300
 
+# commas and whitespace separate --interval names, except inside "(l0,l1)"
+_INTERVAL_SEPARATOR = re.compile(r"[\s,]+(?![^()]*\))")
+
 
 def _load(path: str):
     """Load a system; its warnings go to stderr."""
@@ -95,7 +99,7 @@ def _formula(system, arg: str, logic: str) -> Formula:
 def _interval(system, text: Optional[str]) -> Interval:
     if text is None:
         return Interval((system.initial,))
-    names = [n for chunk in text.split(",") for n in chunk.split() if n]
+    names = [n for n in _INTERVAL_SEPARATOR.split(text) if n]
     if not names:
         raise InputError("--interval needs at least one configuration")
     interval = Interval(tuple(system.config_by_name(name) for name in names))
@@ -347,8 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="evaluate a formula on an interval")
     common(check)
     check.add_argument(
-        "--interval", help="configuration aliases, e.g. 'g1,g2,g3' (default: "
-        "the initial point interval)",
+        "--interval", help="configuration aliases or tuples, e.g. 'g1,g2,g3' "
+        "or '(l0,l1),(l0,l2)' (default: the initial point interval)",
     )
     check.add_argument(
         "--engine", choices=["auto", "bde", "abln", "oracle"], default="auto",

@@ -94,7 +94,7 @@ class C(Formula):
 
     def __post_init__(self) -> None:
         if not self.group:
-            raise ValueError("common-knowledge group must be non-empty")
+            raise InputError("common-knowledge group must be non-empty")
         # canonical group order: indices first, then names
         key = lambda a: (1, 0, a) if isinstance(a, str) else (0, a, "")
         object.__setattr__(self, "group", tuple(sorted(set(self.group), key=key)))
@@ -341,25 +341,27 @@ def head_text(node: Formula) -> str:
 
 def format_formula(f: Formula) -> str:
     """Surface syntax; parse_plus/parse_re of the result rebuilds `f`."""
+    return _format(f, 0)
 
-    def go(node: Formula, level: int) -> str:
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Atom):
-            return "{" + regex_to_text(node.expr) + "}"
-        kids = children(node)
-        if not kids:
-            return _LEAF_TEXT[type(node)]
-        if len(kids) == 2:
-            prec = _LEVELS.index(type(node))
-            text = f"{go(kids[0], prec + 1)} {_BINARY[type(node)]} {go(kids[1], prec)}"
-        else:
-            prec = _PREC_UNARY
-            space = "" if isinstance(node, Not) else " "
-            text = head_text(node) + space + go(kids[0], prec)
-        return f"({text})" if prec < level else text
 
-    return go(f, 0)
+def _format(node: Formula, level: int) -> str:
+    """`node` in surface syntax, parenthesized when it binds looser than
+    `level`. A module-level function, so a call leaves no cycle."""
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Atom):
+        return "{" + regex_to_text(node.expr) + "}"
+    kids = children(node)
+    if not kids:
+        return _LEAF_TEXT[type(node)]
+    if len(kids) == 2:
+        prec = _LEVELS.index(type(node))
+        text = f"{_format(kids[0], prec + 1)} {_BINARY[type(node)]} {_format(kids[1], prec)}"
+    else:
+        prec = _PREC_UNARY
+        space = "" if isinstance(node, Not) else " "
+        text = head_text(node) + space + _format(kids[0], prec)
+    return f"({text})" if prec < level else text
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +606,7 @@ def _interval_type_bound(
     sys: InterpretedSystem, f: Formula, cap: Optional[int], tight: bool
 ) -> int:
     if cap is not None and cap < 1:
-        raise ValueError("cap must be positive")
+        raise InputError("cap must be positive")
     g = normalize(eliminate_L(f))
     extra = relations_of(g) - UNBOUNDED_RELATIONS
     if extra:

@@ -361,36 +361,30 @@ def parse_regex(
 def regex_to_text(expr: RegexExpr, display: Optional[Callable[[Symbol], str]] = None) -> str:
     """Render an AST back to concrete syntax (parse/print round-trips);
     symbols are spelled by `display`, by default `symbol_text`."""
-    disp = display or symbol_text
+    return _to_text(expr, 0, display or symbol_text)
 
-    def prec(e: RegexExpr) -> int:
-        if isinstance(e, Union):
-            return 0
-        if isinstance(e, Concat):
-            return 1
-        return 2
 
-    def go(e: RegexExpr, outer: int) -> str:
-        if isinstance(e, (Empty, Epsilon)):
-            return _CONSTANT_TEXT[type(e)]
-        if isinstance(e, Sym):
-            return disp(e.symbol)
-        if isinstance(e, Star):
-            return f"{go(e.inner, 2)}*"
-        if not isinstance(e, (Union, Concat)):
-            raise TypeError(f"not a regex node: {e!r}")
-        # A chain is printed in a loop along right operands. It re-parses
-        # right-associated, so a chain on the left keeps its parentheses.
-        kind, level, sep = (Union, 0, " + ") if isinstance(e, Union) else (Concat, 1, " ")
-        parts = []
-        while isinstance(e, kind):
-            parts.append(go(e.left, level + 1))
-            e = e.right
-        parts.append(go(e, level))
-        body = sep.join(parts)
-        return f"({body})" if outer > level else body
-
-    return go(expr, 0)
+def _to_text(e: RegexExpr, outer: int, disp: Callable[[Symbol], str]) -> str:
+    """`e` as text, parenthesized when it binds looser than `outer`. A
+    module-level function, so a call leaves no cycle."""
+    if isinstance(e, (Empty, Epsilon)):
+        return _CONSTANT_TEXT[type(e)]
+    if isinstance(e, Sym):
+        return disp(e.symbol)
+    if isinstance(e, Star):
+        return f"{_to_text(e.inner, 2, disp)}*"
+    if not isinstance(e, (Union, Concat)):
+        raise TypeError(f"not a regex node: {e!r}")
+    # A chain is printed in a loop along right operands. It re-parses
+    # right-associated, so a chain on the left keeps its parentheses.
+    kind, level, sep = (Union, 0, " + ") if isinstance(e, Union) else (Concat, 1, " ")
+    parts = []
+    while isinstance(e, kind):
+        parts.append(_to_text(e.left, level + 1, disp))
+        e = e.right
+    parts.append(_to_text(e, level, disp))
+    body = sep.join(parts)
+    return f"({body})" if outer > level else body
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class Interval:
 
     def __post_init__(self) -> None:
         if not self.configs:
-            raise ValueError("intervals are non-empty")
+            raise InputError("intervals are non-empty")
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -377,7 +377,7 @@ def forward_frame(
         return (), sys.successors(last)
     if relation == Relation.BBAR:
         return configs, sys.successors(last)
-    raise ValueError(f"relation {Relation(relation).value} has no forward frame")
+    raise InputError(f"relation {Relation(relation).value} has no forward frame")
 
 
 def allen_successors(
@@ -395,9 +395,9 @@ def allen_successors(
     """
     relation = Relation(relation)
     if relation in UNBOUNDED_RELATIONS and max_len is None:
-        raise ValueError(f"relation {relation.value} requires max_len")
+        raise InputError(f"relation {relation.value} requires max_len")
     if relation not in FORWARD_RELATIONS:
-        raise ValueError(
+        raise InputError(
             f"relation {relation.value} is history-dependent; use the bounded oracle"
         )
     n = len(configs)

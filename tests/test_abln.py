@@ -17,7 +17,7 @@ from ehsmc.abln import (
     user_bound,
 )
 from ehsmc.errors import InputError
-from ehsmc.formulas import (C, Diamond, FragmentError, K, fis_bound, parse_plus,
+from ehsmc.formulas import (C, Diamond, FragmentError, K, fis_bound, parse_plus, parse_re,
                             relations_of, subformulas, tight_bound)
 from ehsmc.oracle import minimal_anchor, oracle_check
 from ehsmc.systems import (Interval, Relation, format_system, parse_system,
@@ -221,9 +221,14 @@ class TestCheckExamples:
         assert v == Verdict(True)
 
     def test_tight_mode_is_honestly_bounded(self, solo):
+        # the tight cap is below the exact bound: a found witness is
+        # conclusive, an empty search of the looping paths is not
         g = solo.config_by_name("g")
         assert tight_bound(solo, parse_plus("<A> p")) == 4097
+        assert fis_bound(solo, parse_plus("<A> p")) > 4097
         v = check_abln(solo, Interval((g,)), parse_plus("<A> <A> p"), TIGHT_BOUND)
+        assert v == Verdict(True)
+        v = check_abln(solo, Interval((g,)), parse_plus("[A] <A> p"), TIGHT_BOUND)
         assert v == Verdict(True, bounded_at=4097)
 
     def test_literal_mode_enumerates_small_modal_operands(self, solo_bare):
@@ -250,10 +255,22 @@ class TestFragmentAndErrors:
             check_abln(is_ex, iv(gs, "g1"), parse_plus(text), user_bound(2))
 
     def test_regex_atoms_rejected(self, is_ex, gs):
-        from ehsmc.formulas import parse_re
-
         with pytest.raises(FragmentError, match="reduced to variables"):
             check_abln(is_ex, iv(gs, "g1"), parse_re("{p T}"), user_bound(2))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda sys_, at: BoundMode("exact"), "unknown bound mode 'exact'"),
+        (lambda sys_, at: regular_witness_search(sys_, at, Relation.A, parse_plus("<A> p")),
+         "operand must be modal-free"),
+        (lambda sys_, at: regular_witness_search(sys_, at, Relation.A, parse_re("{p}")),
+         "reduce regex atoms to variables first"),
+        (lambda sys_, at: regular_witness_search(sys_, at, Relation.B, parse_plus("p")),
+         "relation B has no forward frame"),
+    ])
+    def test_misuse_is_an_input_error(self, is_ex, gs, build, message):
+        with pytest.raises(InputError) as exc:
+            build(is_ex, iv(gs, "g1"))
+        assert str(exc.value) == message
 
     def test_invalid_interval(self, is_ex, gs):
         bad = Interval((gs["g1"], gs["g3"]))
@@ -311,8 +328,10 @@ class TestFragmentAndErrors:
                 check_abln(solo_bare, Interval((g,)), f, mode, frontier_ceiling=3)
             estimates.append(e.value.estimate)
         assert estimates == [4, 4]
+        # cap 2 counts 3 paths and passes; the witness it finds makes the
+        # verdict conclusive, though the cap is below the bound
         v = check_abln(solo_bare, Interval((g,)), f, user_bound(2), frontier_ceiling=3)
-        assert v == Verdict(True, bounded_at=2)
+        assert v == Verdict(True)
 
     @pytest.mark.parametrize("ceiling", [0, -4])
     @pytest.mark.parametrize("mode", [LITERAL_BOUND, TIGHT_BOUND, user_bound(2)])
@@ -334,12 +353,26 @@ class TestConclusiveness:
         assert v == Verdict(False, bounded_at=2)
 
     def test_user_bound_at_the_exact_bound_is_conclusive(self, solo_bare):
+        # the search for a counterexample to <A> true comes up empty and
+        # never runs out, so only a cap at the exact bound (8) decides it
         g = solo_bare.config_by_name("g")
-        f = parse_plus("<A> <A> true")
+        f = parse_plus("[A] <A> true")
+        assert fis_bound(solo_bare, parse_plus("!<A> true")) == 8
         assert check_abln(solo_bare, Interval((g,)), f, user_bound(8)) == Verdict(True)
         assert check_abln(solo_bare, Interval((g,)), f, user_bound(7)) == Verdict(
             True, bounded_at=7
         )
+
+    def test_only_an_empty_search_relies_on_its_cap(self, is_ex, gs):
+        # cap 3 is below the exact bound of either operand, and the paths
+        # from g1 never run out: a witness proves <A> <A> p whatever the
+        # cap, while no witness for <A> [A] p may only lie beyond it
+        assert fis_bound(is_ex, parse_plus("<A> p")) > 3
+        assert fis_bound(is_ex, parse_plus("[A] p")) > 3
+        found = check_abln(is_ex, iv(gs, "g1"), parse_plus("<A> <A> p"), user_bound(3))
+        assert found == Verdict(True)
+        empty = check_abln(is_ex, iv(gs, "g1"), parse_plus("<A> [A] p"), user_bound(3))
+        assert empty == Verdict(False, bounded_at=3)
 
     def test_exhausted_acyclic_search_is_conclusive(self, chain):
         # no cycle is reachable, so a user bound covering the whole

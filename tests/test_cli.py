@@ -97,13 +97,15 @@ class TestCheckExits:
         assert json.loads(out)["engine"] == "abln"
 
     def test_bounded_verdict_is_exit_3(self, capsys):
+        # no interval met by g1 satisfies [A] p within the cap, and the
+        # cap is below the exact bound: false, but only bounded
         code, out, _ = run(
-            capsys, "check", IS_EX, "<A> <A> p", "--engine", "abln",
+            capsys, "check", IS_EX, "<A> [A] p", "--engine", "abln",
             "--bound", "3", "--json",
         )
         assert code == 3
         report = json.loads(out)
-        assert report["holds"] is True
+        assert report["holds"] is False
         assert report["regime"] == "BoundedAt(3)"
 
     def test_infeasible_literal_bound_is_exit_3(self, capsys):
@@ -118,6 +120,20 @@ class TestCheckExits:
         assert code == 2
         code, _, err = run(capsys, "check", IS_EX, "p", "--interval", "gX")
         assert code == 2 and "gX" in err
+
+    def test_interval_reads_configuration_tuples(self, capsys, tmp_path):
+        # a 2-counter ring without config aliases: only tuples name its
+        # configurations, and a comma inside one does not separate names
+        agents = ring_text(2, (0, 0)).split("config ", 1)[0]
+        path = tmp_path / "ring.isrl"
+        path.write_text(agents + "label inl = (e,c0,c0) (e,c1,c0)\n")
+        for text, status in [("(e,c0,c0),(e,c1,c0)", 0), ("(e,c0,c0) , (e,c1,c0)", 0),
+                             ("(e,c0,c0)", 1)]:
+            code, _, _ = run(capsys, "check", str(path), "inl", "--interval", text)
+            assert code == status, text
+        code, out, err = run(capsys, "check", str(path), "inl", "--interval", "(e,c0")
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1 and err.startswith("error: ")
 
     def test_all_initial_wraps_in_box(self, capsys):
         code, _, _ = run(capsys, "check", IS_EX, "p | !p", "--all-initial")

@@ -223,7 +223,8 @@ def exact_status(argv):
     f = (parse_re if args.logic == "re" else parse_plus)(args.formula)
     if fragment_of(f) != Fragment.BDE:
         return None
-    names = [name for name in re.split(r"[,\s]+", args.interval or "") if name]
+    # commas and whitespace separate names, except inside a "(l0,l1)" tuple
+    names = [name for name in re.split(r"[,\s]+(?![^()]*\))", args.interval or "") if name]
     interval = Interval(tuple(map(system.config_by_name, names)) or (system.initial,))
     anchored = minimal_anchor(system, interval)
     return 0 if oracle_check(system, anchored, f, anchored.total_length) else 1

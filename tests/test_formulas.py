@@ -253,6 +253,11 @@ class TestRewrites:
 
 
 class TestStructure:
+    def test_empty_common_knowledge_group_is_an_input_error(self):
+        # the parser never builds one; a formula built by hand can
+        with pytest.raises(InputError, match="^common-knowledge group must be non-empty$"):
+            C((), Var("p"))
+
     def test_fragments(self):
         assert fragment_of(parse_plus("K{0} pi & !<A> p")) is Fragment.ABLN
         assert fragment_of(parse_plus("<B><D> p")) is Fragment.BDE
@@ -329,6 +334,11 @@ def zero_variable_system(configs: int = 2) -> InterpretedSystem:
 class TestBounds:
     def test_base_value_on_the_running_example(self, is_ex):
         assert fis_bound(is_ex, parse_plus("p")) == 288
+
+    @pytest.mark.parametrize("bound", [fis_bound, tight_bound])
+    def test_cap_below_one_is_an_input_error(self, is_ex, bound):
+        with pytest.raises(InputError, match="^cap must be positive$"):
+            bound(is_ex, parse_plus("p"), 0)
 
     def test_single_step_value(self, is_ex):
         assert fis_bound(is_ex, parse_plus("<A> p")) == 288 * 2**288

@@ -3,9 +3,9 @@
 import pytest
 
 from ehsmc.errors import InputError
-from ehsmc.formulas import parse_plus, parse_re
+from ehsmc.formulas import TOP, Diamond, parse_plus, parse_re
 from ehsmc.oracle import minimal_anchor, oracle_check
-from ehsmc.systems import AnchoredInterval, Interval, parse_system
+from ehsmc.systems import AnchoredInterval, Interval, Relation, parse_system
 
 from conftest import iv
 
@@ -122,6 +122,14 @@ class TestInputChecking:
     def test_rejects_unknown_predicate_variables(self, is_ex, gs):
         with pytest.raises(InputError, match="unknown variable 'zz'"):
             oracle_check(is_ex, anchored(gs, (), ("g1",)), parse_re("{T zz}"), 4)
+
+    @pytest.mark.parametrize("relation", list(Relation))
+    def test_every_relation_has_candidates(self, is_ex, gs, relation):
+        # so the oracle's "unhandled relation" error is reached only by a
+        # formula built by hand over a value that is no Relation member,
+        # a programming error; parsed formulas never carry one
+        aI = anchored(gs, ("g1",), ("g2", "g3"))
+        assert oracle_check(is_ex, aI, Diamond(relation, TOP), 5) in (True, False)
 
     def test_minimal_anchor(self, is_ex, gs):
         assert minimal_anchor(is_ex, iv(gs, "g1")).history == ()

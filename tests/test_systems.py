@@ -102,7 +102,7 @@ class TestIntervals:
         assert not check_bde(is_ex, iv(gs, "g1", "g2"), PI)
 
     def test_non_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="intervals are non-empty"):
             Interval(())
 
     def test_validate_interval(self, is_ex, gs):
@@ -116,6 +116,15 @@ class TestIntervals:
 
 
 class TestAllenSuccessors:
+    @pytest.mark.parametrize("relation, max_len, message", [
+        (Relation.A, None, "relation A requires max_len"),
+        (Relation.O, 3, "relation O is history-dependent; use the bounded oracle"),
+    ])
+    def test_misuse_is_an_input_error(self, is_ex, gs, relation, max_len, message):
+        with pytest.raises(InputError) as exc:
+            list(allen_successors(is_ex, cfgs(gs, "g1"), relation, max_len))
+        assert str(exc.value) == message
+
     def test_begins(self, is_ex, gs):
         got = names(is_ex, allen_successors(is_ex, cfgs(gs, "g1", "g2", "g3"), Relation.B))
         assert got == ["g1", "g1g2"]
