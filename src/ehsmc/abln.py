@@ -10,7 +10,12 @@ then only if the cap is below the operand's exact bound and its paths
 did not run out within the cap; such a verdict is reported as bounded.
 Modal-free operands are never capped: they are decided completely by
 reachability in the product of the step relation with the per-variable
-automata.
+automata. Within one check, every search over the same operand shares
+one product, which remembers the states known to reach a satisfying
+state and those known not to; so the members of a `K` or `C` class
+together cost about one product search, not one each. Such a search
+decides only whether a witness exists; `regular_witness_search` searches
+a fresh product and returns a shortest witness.
 
 In every mode, a search whose enumeration frontier would exceed a
 ceiling is refused instead of silently truncated; one layered count of
@@ -169,6 +174,75 @@ def _satisfies(n: Formula, index: Dict[str, int], accepting: Tuple[bool, ...],
 _State = Tuple[GlobalConfig, Tuple[str, ...], bool]
 
 
+class _Product:
+    """Reachability in the product of the step relation with a
+    modal-free operand's label automata, over states (configuration,
+    automaton states after the interval's word, point flag).
+
+    A product state fixes every continuation, whatever prefix led to it,
+    so what one search learns holds for every later search of the same
+    operand: `onward` maps each state known to reach a satisfying state
+    to the next state on such a path (None at a satisfying state), and
+    `dead` holds the states a search explored to closure without finding
+    one. Both live as long as the object; `check_abln` keeps one per
+    operand for one call."""
+
+    def __init__(self, sys: InterpretedSystem, operand: Formula):
+        names, self.sat = _boolean_satisfier(sys, operand)
+        self.sys = sys
+        self.dfas = [sys.dfa_for(name) for name in names]
+        self.onward: Dict[_State, Optional[_State]] = {}
+        self.dead: Set[_State] = set()
+
+    def search(self, prefix: Path, starts: Sequence[GlobalConfig]) -> Optional[_State]:
+        """Breadth-first search from every start at once, after the
+        prefix; the start state that begins a path to a satisfying
+        state, or None when no path from a start reaches one. On an
+        empty memo the path read from that start is a shortest one."""
+        sys, sat, dfas, onward, dead = self.sys, self.sat, self.dfas, self.onward, self.dead
+        states = tuple(d.initial for d in dfas)
+        for g in prefix:
+            states = tuple(dfa.step[(s, g)] for dfa, s in zip(dfas, states))
+        parents: Dict[_State, Optional[_State]] = {}
+        queue: deque = deque()
+        # only a one-configuration path after an empty prefix is a point
+        point = not prefix
+        for g in starts:
+            state = (g, tuple(dfa.step[(s, g)] for dfa, s in zip(dfas, states)), point)
+            if state not in parents and state not in dead:
+                parents[state] = None
+                queue.append(state)
+        while queue:
+            state = queue.popleft()
+            cfg, st, point = state
+            if state in onward or sat(tuple(s in dfa.accepting for dfa, s in zip(dfas, st)),
+                                      point):
+                onward.setdefault(state, None)
+                parent = parents[state]
+                while parent is not None:
+                    onward[parent] = state
+                    state, parent = parent, parents[parent]
+                return state
+            for succ in sys.successors(cfg):
+                nxt = (succ, tuple(dfa.step[(s, succ)] for dfa, s in zip(dfas, st)), False)
+                if nxt not in parents and nxt not in dead:
+                    parents[nxt] = state
+                    queue.append(nxt)
+        # every state seen reaches only states seen or already dead
+        dead.update(parents)
+        return None
+
+    def path(self, state: _State) -> Path:
+        """The configurations from `state` along `onward` to a satisfying
+        state."""
+        out: List[GlobalConfig] = []
+        cursor: Optional[_State] = state
+        while cursor is not None:
+            out.append(cursor[0])
+            cursor = self.onward[cursor]
+        return tuple(out)
+
+
 def regular_witness_search(
     sys: InterpretedSystem,
     interval: Interval,
@@ -183,44 +257,14 @@ def regular_witness_search(
     automaton states after the interval's word and on pointhood, so
     breadth-first search over (configuration, automaton states, point
     flag), from every start of the forward frame at once, covers every
-    case in finitely many steps.
+    case in finitely many steps. Each call searches a fresh product, so
+    the witness is a shortest one; `check_abln` shares one product per
+    operand across its searches and asks only whether a witness exists.
     """
-    names, sat = _boolean_satisfier(sys, operand)
-    dfas = [sys.dfa_for(name) for name in names]
+    product = _Product(sys, operand)
     prefix, starts = forward_frame(sys, interval.configs, relation)
-
-    def advance(states: Tuple[str, ...], g: GlobalConfig) -> Tuple[str, ...]:
-        return tuple(dfa.step[(s, g)] for dfa, s in zip(dfas, states))
-
-    states = tuple(d.initial for d in dfas)
-    for g in prefix:
-        states = advance(states, g)
-
-    parents: Dict[_State, Optional[_State]] = {}
-    queue: deque = deque()
-
-    def push(state: _State, parent: Optional[_State]) -> None:
-        if state not in parents:
-            parents[state] = parent
-            queue.append(state)
-
-    # only a one-configuration path after an empty prefix is a point
-    for g in starts:
-        push((g, advance(states, g), not prefix), None)
-    while queue:
-        state = queue.popleft()
-        cfg, st, point = state
-        if sat(tuple(s in dfa.accepting for dfa, s in zip(dfas, st)), point):
-            path: List[GlobalConfig] = []
-            cursor: Optional[_State] = state
-            while cursor is not None:
-                path.append(cursor[0])
-                cursor = parents[cursor]
-            path.reverse()
-            return Interval(prefix + tuple(path))
-        for succ in sys.successors(cfg):
-            push((succ, advance(st, succ), False), state)
-    return None
+    start = product.search(prefix, starts)
+    return None if start is None else Interval(prefix + product.path(start))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +319,7 @@ def check_abln(
     configs = validate_interval(sys, interval)
     bound = tight_bound if mode.kind == "tight" else fis_bound
     caps: Dict[int, Optional[int]] = {}  # per operand; None when modal-free
+    products: Dict[int, _Product] = {}  # per modal-free operand
     weighed: Set[int] = set()  # operands whose search came up empty
     relied: List[int] = []  # the caps below their operand's bound among them
 
@@ -282,14 +327,16 @@ def check_abln(
         operand = node.sub
         key = id(operand)
         if key not in caps:
-            caps[key] = (None if modal_free(operand) else
-                         mode.cap if mode.cap is not None else bound(sys, operand, _HUGE))
+            if modal_free(operand):
+                caps[key] = None
+                products[key] = _Product(sys, operand)
+            else:
+                caps[key] = mode.cap if mode.cap is not None else bound(sys, operand, _HUGE)
         cap = caps[key]
-        if cap is None:
-            return regular_witness_search(sys, Interval(cfgs), node.relation,
-                                          operand) is not None
-        max_len = len(cfgs) + cap
         prefix, starts = forward_frame(sys, cfgs, node.relation)
+        if cap is None:
+            return products[key].search(prefix, starts) is not None
+        max_len = len(cfgs) + cap
         estimate, exhausted = _frontier(sys, starts, max_len - len(prefix),
                                         frontier_ceiling)
         if estimate > frontier_ceiling:

@@ -230,11 +230,12 @@ class InterpretedSystem:
 
     def config_by_name(self, name: str) -> GlobalConfig:
         """The configuration an alias names, or the one spelled
-        "(l0,l1,...)" with one local state per agent and no whitespace."""
+        "(l0,l1,...)" with one local state per agent; whitespace around a
+        state is ignored, as a label reads it."""
         if name in self.aliases:
             return self.aliases[name]
         if name[:1] == "(" and name[-1:] == ")":
-            cfg = tuple(name[1:-1].split(","))
+            cfg = tuple(part.strip() for part in name[1:-1].split(","))
             if _is_config(cfg, self.agents):
                 return cfg
         raise InputError(f"unknown configuration {name!r}")
@@ -377,7 +378,15 @@ def forward_frame(
         return (), sys.successors(last)
     if relation == Relation.BBAR:
         return configs, sys.successors(last)
-    raise InputError(f"relation {Relation(relation).value} has no forward frame")
+    raise InputError(f"relation {_relation(relation).value} has no forward frame")
+
+
+def _relation(value: object) -> Relation:
+    """The relation a member or its name denotes."""
+    try:
+        return Relation(value)
+    except ValueError:
+        raise InputError(f"unknown relation {value!r}") from None
 
 
 def allen_successors(
@@ -393,7 +402,7 @@ def allen_successors(
     Backward relations need history tracking and are evaluated only by
     the bounded oracle.
     """
-    relation = Relation(relation)
+    relation = _relation(relation)
     if relation in UNBOUNDED_RELATIONS and max_len is None:
         raise InputError(f"relation {relation.value} requires max_len")
     if relation not in FORWARD_RELATIONS:

@@ -10,22 +10,26 @@ from ehsmc.abln import (
     BoundInfeasibleError,
     BoundMode,
     Verdict,
+    _Product,
     check_abln,
     compute_mct,
     mct_to_dot,
     regular_witness_search,
     user_bound,
 )
+from ehsmc.bde import evaluate
 from ehsmc.errors import InputError
-from ehsmc.formulas import (C, Diamond, FragmentError, K, fis_bound, parse_plus, parse_re,
+from ehsmc.formulas import (And, C, Diamond, Fragment, FragmentError, K, Not, fis_bound,
+                            parse_plus, parse_re, prepare,
                             relations_of, subformulas, tight_bound)
 from ehsmc.oracle import minimal_anchor, oracle_check
-from ehsmc.systems import (Interval, Relation, format_system, parse_system,
+from ehsmc.systems import (Interval, Relation, format_system, forward_frame, parse_system,
                            validate_interval)
 
 from conftest import iv
-from genutil import abln_kit, all_formulas, intervals_up_to, modal_depth
-from test_acceptance import _boolean_holds, _branching_system, _random_boolean
+from genutil import abln_kit, all_formulas, intervals_up_to, modal_depth, ring_text
+from test_acceptance import (_boolean_holds, _branching_system, _deterministic_system,
+                             _general_labelled_system, _random_boolean)
 
 SOLO_TEXT = """\
 agent S
@@ -96,6 +100,8 @@ class TestWitnessSearch:
     def test_shortest_witness_from_g1(self, is_ex, gs):
         w = regular_witness_search(is_ex, iv(gs, "g1"), Relation.A, parse_plus("p"))
         assert w == iv(gs, "g1", "g2", "g3")
+        # a relation may be given by its name
+        assert regular_witness_search(is_ex, iv(gs, "g1"), "A", parse_plus("p")) == w
 
     def test_no_witness_from_g2(self, is_ex, gs):
         assert regular_witness_search(is_ex, iv(gs, "g2"), Relation.A, parse_plus("p")) is None
@@ -203,6 +209,93 @@ class TestWitnessSearch:
         assert 0 < found_some < 200
 
 
+def _shared_product_systems():
+    """A seeded sample of the generators' systems, and rings of two and
+    three counters, where a class holds many members."""
+    rng = random.Random(2207)
+    systems = [_general_labelled_system(rng) for _ in range(8)]
+    systems += [_deterministic_system(rng) for _ in range(4)]
+    systems += [parse_system(ring_text(2, (1, 2))), parse_system(ring_text(3, (2, 0, 1)))]
+    return rng, systems
+
+
+FORWARD = (Relation.A, Relation.BBAR, Relation.N)
+
+
+def _sharing_formula(rng, diamonds, depth):
+    """A K/C/Boolean formula over a few diamonds, which share operands."""
+    kind = rng.choice(("leaf", "K", "K", "C", "not", "and")) if depth else "leaf"
+    if kind == "leaf":
+        return rng.choice(diamonds)
+    if kind == "K":
+        return K(rng.randrange(2), _sharing_formula(rng, diamonds, depth - 1))
+    if kind == "C":
+        return C((0, 1), _sharing_formula(rng, diamonds, depth - 1))
+    if kind == "not":
+        return Not(_sharing_formula(rng, diamonds, depth - 1))
+    return And(_sharing_formula(rng, diamonds, depth - 1),
+               _sharing_formula(rng, diamonds, depth - 1))
+
+
+def _fresh_search_per_member(sys_, configs, f):
+    """The verdict with a fresh witness search at every interval a diamond
+    is decided at, so that no two searches share a product."""
+    def diamond(node, cfgs, holds):
+        return regular_witness_search(sys_, Interval(cfgs), node.relation,
+                                      node.sub) is not None
+
+    return evaluate(sys_, prepare(sys_, f, Fragment.ABLN), configs, diamond)
+
+
+class TestSharedProduct:
+    """Every search for one operand within a check shares one product,
+    whose memo of states that reach a witness, and of states that reach
+    none, must not change a verdict or yield a wrong witness."""
+
+    def test_check_matches_a_fresh_search_per_member(self):
+        rng, systems = _shared_product_systems()
+        checked = 0
+        for sys_ in systems:
+            variables = sorted(sys_.variables)
+            intervals = intervals_up_to(sys_, 2)
+            for _ in range(20):
+                operands = [_random_boolean(rng, rng.randint(1, 4), variables)
+                            for _ in range(2)]
+                diamonds = [Diamond(r, o) for r in FORWARD for o in operands]
+                f = _sharing_formula(rng, diamonds, 3)
+                for interval in rng.sample(intervals, min(4, len(intervals))):
+                    expected = _fresh_search_per_member(sys_, interval.configs, f)
+                    assert check_abln(sys_, interval, f, LITERAL_BOUND) == Verdict(expected)
+                    checked += 1
+        assert checked > 800
+
+    def test_warm_product_yields_related_witnesses(self):
+        rng, systems = _shared_product_systems()
+        warm_witnesses = 0
+        for sys_ in systems:
+            intervals = intervals_up_to(sys_, 3)
+            for _ in range(3):
+                operand = _random_boolean(rng, rng.randint(1, 4), sorted(sys_.variables))
+                product = _Product(sys_, operand)
+                for interval in rng.sample(intervals, min(12, len(intervals))):
+                    for relation in FORWARD:
+                        warm = bool(product.onward or product.dead)
+                        prefix, starts = forward_frame(sys_, interval.configs, relation)
+                        start = product.search(prefix, starts)
+                        shortest = regular_witness_search(sys_, interval, relation, operand)
+                        assert (start is None) == (shortest is None)
+                        if start is None:
+                            continue
+                        path = product.path(start)
+                        assert path[0] in starts
+                        assert all(b in sys_.successors(a) for a, b in zip(path, path[1:]))
+                        witness = prefix + path
+                        assert _boolean_holds(sys_, operand, witness)
+                        assert len(witness) >= len(shortest)
+                        warm_witnesses += warm
+        assert warm_witnesses > 100
+
+
 class TestCheckExamples:
     def test_meets_with_modal_free_operand(self, is_ex, gs):
         v = check_abln(is_ex, iv(gs, "g1"), parse_plus("<A> p"), user_bound(3))
@@ -266,6 +359,8 @@ class TestFragmentAndErrors:
          "reduce regex atoms to variables first"),
         (lambda sys_, at: regular_witness_search(sys_, at, Relation.B, parse_plus("p")),
          "relation B has no forward frame"),
+        (lambda sys_, at: regular_witness_search(sys_, at, "X", parse_plus("p")),
+         "unknown relation 'X'"),
     ])
     def test_misuse_is_an_input_error(self, is_ex, gs, build, message):
         with pytest.raises(InputError) as exc:

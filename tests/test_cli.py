@@ -121,6 +121,13 @@ class TestCheckExits:
         code, _, err = run(capsys, "check", IS_EX, "p", "--interval", "gX")
         assert code == 2 and "gX" in err
 
+    def test_interval_tuple_may_hold_spaces(self, capsys):
+        # a label reads "(l0, l1)" as the tuple g1 names; so does --interval
+        for formula in ("p", "pi"):
+            expected = run(capsys, "check", IS_EX, formula, "--interval", "g1", "--json")
+            got = run(capsys, "check", IS_EX, formula, "--interval", "(l0, l1)", "--json")
+            assert got == expected
+
     def test_interval_reads_configuration_tuples(self, capsys, tmp_path):
         # a 2-counter ring without config aliases: only tuples name its
         # configurations, and a comma inside one does not separate names

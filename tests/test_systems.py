@@ -75,9 +75,11 @@ class TestRunningExample:
 
     def test_config_by_name_reads_aliases_and_tuples(self, is_ex, gs):
         assert is_ex.config_by_name("g2") == gs["g2"]
-        assert is_ex.config_by_name("(l0,l1)") == ("l0", "l1")
-        # a wrong arity, an undeclared state, whitespace inside the tuple
-        for name in ("(l0)", "(l0,l1,l1)", "(l0,l9)", "(l0, l1)", "l0,l1", "()", "g4"):
+        # whitespace around a state is ignored, as a label reads the tuple
+        for name in ("(l0,l1)", "(l0, l1)", "( l0 ,\tl1 )"):
+            assert is_ex.config_by_name(name) == ("l0", "l1")
+        # a wrong arity, an undeclared state, no parentheses
+        for name in ("(l0)", "(l0,l1,l1)", "(l0,l9)", "(l0 l1)", "l0,l1", "()", "g4"):
             with pytest.raises(InputError) as exc:
                 is_ex.config_by_name(name)
             assert str(exc.value) == f"unknown configuration {name!r}"
@@ -119,6 +121,7 @@ class TestAllenSuccessors:
     @pytest.mark.parametrize("relation, max_len, message", [
         (Relation.A, None, "relation A requires max_len"),
         (Relation.O, 3, "relation O is history-dependent; use the bounded oracle"),
+        ("X", 3, "unknown relation 'X'"),
     ])
     def test_misuse_is_an_input_error(self, is_ex, gs, relation, max_len, message):
         with pytest.raises(InputError) as exc:
@@ -132,6 +135,8 @@ class TestAllenSuccessors:
     def test_meets(self, is_ex, gs):
         got = names(is_ex, allen_successors(is_ex, cfgs(gs, "g1"), Relation.A, 3))
         assert got == ["g1", "g1g2", "g1g2g1", "g1g2g3"]
+        # a relation may be given by its name
+        assert names(is_ex, allen_successors(is_ex, cfgs(gs, "g1"), "A", 3)) == got
 
     def test_next(self, is_ex, gs):
         got = names(is_ex, allen_successors(is_ex, cfgs(gs, "g1", "g2"), Relation.N, 2))
